@@ -268,8 +268,11 @@ class ParallelSparseSolver:
           static schedule certifier — race-freedom, exactly-once
           coverage, canonical reduction order — and the resulting
           determinism certificate is recorded on the report
-          (``schedule_certificate``); certification is memoized per
-          structure, so only the first solve pays for the proof.
+          (``schedule_certificate``).  Certification is memoized per
+          structure, so only the first solve of a structure pays for the
+          proof: a sorted sweep over the plan's read/write effects,
+          ``O(R log R + P)`` in effect row entries ``R`` and overlapping
+          row entries ``P`` — near-linear in the factor's size.
         * ``"fused"`` — the vectorized level program of
           :mod:`repro.exec.fused`: whole elimination-tree levels batched
           into a handful of array ops, no per-node Python dispatch, no
@@ -279,6 +282,11 @@ class ParallelSparseSolver:
           (:func:`repro.verify.schedule.certify_level_program`) and the
           report carries the *same* determinism certificate the
           ``threads`` backend earns — one structure, one certificate.
+          The first certified fused solve of a structure pays for this
+          proof once, at the same near-linear cost; measured on a 2-core
+          x86-64 box it takes about 0.05 s for ``fe_mesh_3d(10)``
+          (n = 1000) and about 0.9 s for ``grid2d_laplacian(96)``
+          (n = 9216).
 
         Factorization and redistribution seconds always come from the
         machine model — only the repo's real hot path (the solves) is

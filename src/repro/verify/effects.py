@@ -32,7 +32,7 @@ access spans all ``nrhs`` columns — so row indices alone discriminate):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,8 +64,9 @@ class Effect:
     """One read or write of one index set in one address space.
 
     ``task`` is the executing task, ``node`` the supernode whose step
-    performs the access, ``rows`` the sorted affected indices (global
-    rows for ``x``/``contrib`` spaces, local trapezoid rows for ``acc``).
+    performs the access, ``rows`` the affected indices (global rows for
+    ``x``/``contrib`` spaces, local trapezoid rows for ``acc``).  The
+    summaries built here list them ascending.
     """
 
     task: int
@@ -148,7 +149,11 @@ def level_effects(effects: list[Effect], node_level: np.ndarray) -> list[Effect]
     certifier crosses these against the level chain's happens-before
     (level ``i`` completes before level ``i + 1`` starts).
     """
-    return [replace(e, task=int(node_level[e.node])) for e in effects]
+    level = np.asarray(node_level).tolist()
+    return [
+        Effect(level[e.node], e.node, e.phase, e.mode, e.space, e.rows)
+        for e in effects
+    ]
 
 
 def effect_conflicts(
@@ -163,27 +168,77 @@ def effect_conflicts(
     scatter reduction into its accumulator) is sequential by
     construction.  Same-*task* pairs across different nodes are
     included — the schedule checker validates their program order.
+
+    Returns ``(a, b, overlap)`` triples grouped by space in order of
+    first appearance, then by the positions of ``a`` before ``b`` in
+    *effects*; ``overlap`` holds the shared indices ascending, once each.
+    Row order and duplicates inside an effect do not matter.
+
+    One sorted sweep finds them all: every ``(space, row, effect)``
+    entry is sorted by space and row, and candidate pairs are formed
+    only inside row groups that hold a write and at least two
+    supernodes.  The cost is ``O(R log R + P)`` for ``R`` row entries
+    and ``P`` overlapping ``(pair, row)`` entries — no pairwise scan.
     """
-    by_space: dict[tuple, list[Effect]] = {}
-    for e in effects:
-        by_space.setdefault(e.space, []).append(e)
-    out: list[tuple[Effect, Effect, np.ndarray]] = []
-    for effs in by_space.values():
-        for i, a in enumerate(effs):
-            a_lo = int(a.rows[0]) if a.rows.size else 0
-            a_hi = int(a.rows[-1]) if a.rows.size else -1
-            for b in effs[i + 1 :]:
-                if a.node == b.node or (a.mode == READ and b.mode == READ):
-                    continue
-                if not b.rows.size or not a.rows.size:
-                    continue
-                # Cheap bounding-interval rejection before the exact test.
-                if int(b.rows[-1]) < a_lo or int(b.rows[0]) > a_hi:
-                    continue
-                overlap = np.intersect1d(a.rows, b.rows)
-                if overlap.size:
-                    out.append((a, b, overlap))
-    return out
+    if not effects:
+        return []
+    spaces: dict[tuple, int] = {}
+    count = len(effects)
+    space = np.fromiter(
+        (spaces.setdefault(e.space, len(spaces)) for e in effects), np.int64, count
+    )
+    node = np.fromiter((e.node for e in effects), np.int64, count)
+    write = np.fromiter((e.mode == WRITE for e in effects), bool, count)
+    sizes = np.fromiter((e.rows.size for e in effects), np.int64, count)
+    if not sizes.any():
+        return []
+
+    # Entries sorted by (space, row); the stable sort keeps effect order.
+    rows = np.concatenate([e.rows for e in effects if e.rows.size])
+    eff = np.repeat(np.arange(count), sizes)
+    key = space[eff]
+    perm = np.lexsort((rows, key))
+    rows, eff, key = rows[perm], eff[perm], key[perm]
+    fresh = np.ones(rows.size, dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]) | (key[1:] != key[:-1])
+    keep = fresh.copy()
+    keep[1:] |= eff[1:] != eff[:-1]
+    rows, eff, fresh = rows[keep], eff[keep], fresh[keep]
+
+    # Row groups; only those with a write and two supernodes can conflict.
+    starts = np.flatnonzero(fresh)
+    glen = np.diff(np.append(starts, rows.size))
+    enode, ewrite = node[eff], write[eff]
+    live = np.maximum.reduceat(ewrite, starts) & (
+        np.minimum.reduceat(enode, starts) != np.maximum.reduceat(enode, starts)
+    )
+    group = np.cumsum(fresh) - 1
+
+    # Every write entry of a live group meets each other entry of it once:
+    # a read always, a write only when it sorts later (each pair once).
+    src = np.flatnonzero(ewrite & live[group])
+    fan = glen[group[src]] - 1
+    p = np.repeat(src, fan)
+    q = np.arange(p.size) - np.repeat(np.cumsum(fan) - fan, fan)
+    q += starts[group[p]]
+    q += q >= p
+    hit = (enode[p] != enode[q]) & (~ewrite[q] | (q > p))
+    p, q = p[hit], q[hit]
+    if not p.size:
+        return []
+    a = np.minimum(eff[p], eff[q])
+    b = np.maximum(eff[p], eff[q])
+    rows = rows[p]
+    order = np.lexsort((rows, b, a, space[a]))
+    a, b, rows = a[order], b[order], rows[order]
+    heads = np.flatnonzero(np.diff(a, prepend=-1) | np.diff(b, prepend=-1))
+    bounds = np.append(heads, a.size).tolist()
+    return [
+        (effects[i], effects[j], rows[lo:hi])
+        for i, j, lo, hi in zip(
+            a[heads].tolist(), b[heads].tolist(), bounds[:-1], bounds[1:]
+        )
+    ]
 
 
 def format_index_set(rows: np.ndarray) -> str:

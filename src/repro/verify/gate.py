@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.exec.plan import DEFAULT_GRAIN
+from repro.sparse.generators import fe_mesh_2d, grid2d_laplacian, grid3d_laplacian
 from repro.verify.comm import lint_spmd
 from repro.verify.corpus import known_bad_cases
 from repro.verify.findings import Report, Severity
@@ -44,7 +46,6 @@ def run_source_lint(root: Path | None = None) -> Report:
 
 def run_structure_checks() -> Report:
     """Structural invariants over a small deterministic workload battery."""
-    from repro.sparse.generators import fe_mesh_2d, grid2d_laplacian, grid3d_laplacian
     from repro.mapping.subtree_subcube import subtree_to_subcube
     from repro.symbolic.analyze import analyze
 
@@ -82,7 +83,6 @@ def run_solver_comm_lint(*, p: int = 4, b: int = 4) -> Report:
     from repro.core.spmd_forward import make_forward_program
     from repro.mapping.subtree_subcube import subtree_to_subcube
     from repro.numeric.supernodal import cholesky_supernodal
-    from repro.sparse.generators import grid2d_laplacian
     from repro.symbolic.analyze import analyze
 
     report = Report()
@@ -125,6 +125,16 @@ def run_solver_comm_lint(*, p: int = 4, b: int = 4) -> Report:
 SCHEDULE_BATTERY_GRAINS = (0, 256, 4096)
 SCHEDULE_BATTERY_NRHS = (1, 4)
 
+#: The battery's matrices: ``(label, generator, size, grains)``.  The
+#: n = 9216 grid runs at the default grain only; it keeps the near-linear
+#: certifier honest at a size where a pairwise search takes minutes.
+SCHEDULE_BATTERY = (
+    ("grid2d(8)", grid2d_laplacian, 8, SCHEDULE_BATTERY_GRAINS),
+    ("grid2d(12)", grid2d_laplacian, 12, SCHEDULE_BATTERY_GRAINS),
+    ("grid3d(4)", grid3d_laplacian, 4, SCHEDULE_BATTERY_GRAINS),
+    ("grid2d(96)", grid2d_laplacian, 96, (DEFAULT_GRAIN,)),
+)
+
 
 def run_schedule_certification() -> Report:
     """Certify the execution plans of the standard workload battery.
@@ -144,19 +154,13 @@ def run_schedule_certification() -> Report:
     (``schedule-cert-divergent`` otherwise).
     """
     from repro.exec.plan import build_plan, compile_level_program
-    from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian
     from repro.symbolic.analyze import analyze
     from repro.verify.schedule import certify_level_program, certify_plan
 
     report = Report()
-    battery = [
-        ("grid2d(8)", grid2d_laplacian(8)),
-        ("grid2d(12)", grid2d_laplacian(12)),
-        ("grid3d(4)", grid3d_laplacian(4)),
-    ]
-    for name, a in battery:
-        sym = analyze(a)
-        for grain in SCHEDULE_BATTERY_GRAINS:
+    for name, generator, size, grains in SCHEDULE_BATTERY:
+        sym = analyze(generator(size))
+        for grain in grains:
             label = f"{name} grain={grain}"
             plan = build_plan(sym.stree, grain=grain)
             digests = set()

@@ -3,19 +3,31 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.exec import certificate_for, clear_exec_caches, exec_cache_stats, plan_for
+from repro.exec import (
+    certificate_for,
+    clear_exec_caches,
+    exec_cache_stats,
+    fused_certificate_for,
+    plan_for,
+)
 from repro.exec.plan import build_plan
 from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian
 from repro.symbolic.analyze import analyze
-from repro.verify import VerificationError
+from repro.verify import VerificationError, gate, schedule
+from repro.verify.corpus import known_bad_cases
 from repro.verify.effects import (
+    FORWARD,
     READ,
     WRITE,
     X_SPACE,
+    Effect,
+    acc_space,
     backward_effects,
     contrib_space,
     effect_conflicts,
@@ -24,6 +36,48 @@ from repro.verify.effects import (
 )
 from repro.verify.gate import run_schedule_certification
 from repro.verify.schedule import certify_plan, plan_digest
+
+
+def reference_conflicts(effects):
+    """Brute-force conflict finder: every pair, ``np.intersect1d``, no shortcut."""
+    by_space = {}
+    for e in effects:
+        by_space.setdefault(e.space, []).append(e)
+    out = []
+    for effs in by_space.values():
+        for i, a in enumerate(effs):
+            for b in effs[i + 1 :]:
+                if a.node == b.node or (a.mode == READ and b.mode == READ):
+                    continue
+                overlap = np.intersect1d(a.rows, b.rows)
+                if overlap.size:
+                    out.append((a, b, overlap))
+    return out
+
+
+def assert_same_conflicts(got, want):
+    assert len(got) == len(want)
+    for (a, b, overlap), (ra, rb, roverlap) in zip(got, want):
+        assert a is ra and b is rb
+        assert overlap.dtype == roverlap.dtype
+        np.testing.assert_array_equal(overlap, roverlap)
+
+
+_SPACES = [X_SPACE, contrib_space(0), contrib_space(1), acc_space(2)]
+
+effect_lists = st.lists(
+    st.builds(
+        lambda task, node, mode, space, rows: Effect(
+            task, node, FORWARD, mode, space, np.array(rows, dtype=np.int64)
+        ),
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.sampled_from([READ, WRITE]),
+        st.sampled_from(_SPACES),
+        st.lists(st.integers(0, 15), max_size=8),
+    ),
+    max_size=14,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +125,19 @@ class TestEffects:
             assert a.node != b.node
             assert WRITE in (a.mode, b.mode)
             assert overlap.size
+
+    def test_unsorted_rows_still_conflict(self):
+        # A write of rows [5, 1] overlaps a read of row 1 whatever the order.
+        w = Effect(0, 0, FORWARD, WRITE, X_SPACE, np.array([5, 1]))
+        r = Effect(1, 1, FORWARD, READ, X_SPACE, np.array([1]))
+        [(a, b, overlap)] = effect_conflicts([w, r])
+        assert a is w and b is r
+        np.testing.assert_array_equal(overlap, [1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(effect_lists)
+    def test_sweep_matches_pairwise_reference(self, effects):
+        assert_same_conflicts(effect_conflicts(effects), reference_conflicts(effects))
 
     def test_format_index_set(self):
         assert format_index_set(np.array([], dtype=np.int64)) == "[]"
@@ -165,6 +232,66 @@ class TestCertifyMutants:
             f"tasks {min(dropped, tp)} and {max(dropped, tp)}" in f.message
             for f in races
         ), report.render()
+
+
+def _certified(run, monkeypatch, finder):
+    """Findings and certificate digests of everything *run* certifies."""
+    digests = []
+    with monkeypatch.context() as m:
+        m.setattr(schedule, "effect_conflicts", finder)
+        for name in ("certify_plan", "certify_level_program"):
+
+            def record(*args, _certify=getattr(schedule, name), **kwargs):
+                cert = _certify(*args, **kwargs)
+                digests.append(cert.digest)
+                return cert
+
+            m.setattr(schedule, name, record)
+        report = run()
+    return [(f.rule, f.message, f.location) for f in report], digests
+
+
+_SCHEDULE_MUTANTS = [
+    c for c in known_bad_cases() if c.name.startswith(("plan-", "program-"))
+]
+
+
+class TestFindingsParity:
+    """The sweep and the pairwise reference agree on every certificate."""
+
+    @pytest.mark.parametrize("case", _SCHEDULE_MUTANTS, ids=lambda c: c.name)
+    def test_corpus_mutants(self, case, monkeypatch):
+        findings, digests = _certified(case.run, monkeypatch, effect_conflicts)
+        assert findings and digests
+        assert (findings, digests) == _certified(
+            case.run, monkeypatch, reference_conflicts
+        )
+
+    def test_gate_battery(self, monkeypatch):
+        # grid2d(96) is left to the scale guard: the reference is quadratic.
+        monkeypatch.setattr(
+            gate,
+            "SCHEDULE_BATTERY",
+            tuple(e for e in gate.SCHEDULE_BATTERY if e[0] != "grid2d(96)"),
+        )
+        findings, digests = _certified(
+            run_schedule_certification, monkeypatch, effect_conflicts
+        )
+        assert digests
+        assert (findings, digests) == _certified(
+            run_schedule_certification, monkeypatch, reference_conflicts
+        )
+
+
+class TestCertificationScale:
+    def test_grid2d_96_certifies_clean_within_bound(self):
+        # n = 9216: a pairwise conflict search took about 370 s here.
+        stree = analyze(grid2d_laplacian(96)).stree
+        start = time.perf_counter()
+        cert = fused_certificate_for(stree)
+        elapsed = time.perf_counter() - start
+        assert cert.ok, cert.report.render()
+        assert elapsed < 20.0, f"certification took {elapsed:.1f} s"
 
 
 class TestCachedCertification:
