@@ -1,22 +1,19 @@
 """Measured-performance harness for the real execution backends.
 
 Times forward+backward triangular solves over generated 2-D/3-D grid
-problems for NRHS in {1, 4, 16} on four backends:
+problems for NRHS in {1, 4, 16} on three backends:
 
 * ``serial``  — the reference supernodal solvers in ``repro.numeric.trisolve``;
-* ``threads`` — the level-scheduled shared-memory engine in ``repro.exec``,
-  at each requested worker count (plan cache warmed first, as in steady
-  state); worker counts that oversubscribe the machine are skipped and
-  recorded in ``meta.skipped_workers``;
 * ``fused``   — the vectorized level program of ``repro.exec.fused``
-  (whole elimination-tree levels batched into flat array ops);
+  (whole elimination-tree levels batched into flat array ops; caches
+  warmed first, as in steady state);
 * ``scipy``   — ``scipy.sparse.linalg.spsolve_triangular`` on the scattered
   CSR factor, as an external baseline.
 
 Every backend's solution is cross-checked against the serial one before
-its timing is accepted — and the repo's own backends (``threads``,
-``fused``) must match *bitwise*, not just to tolerance — so a
-fast-but-wrong backend can never produce a flattering number.  Each
+its timing is accepted — and the repo's own ``fused`` backend must match
+*bitwise*, not just to tolerance — so a fast-but-wrong backend can never
+produce a flattering number.  Each
 record carries per-phase seconds (plan build, factor preparation /
 program compile, forward sweep, backward sweep) next to the end-to-end
 solve time.  Results are written machine-readable to
@@ -33,7 +30,7 @@ pins BLAS to one thread so backend comparisons measure scheduling, not
 BLAS-internal parallelism.)
 """
 
-# BLAS must be pinned before numpy loads: the comparison is between task
+# BLAS must be pinned before numpy loads: the comparison is between solve
 # schedules, not between BLAS thread pools.
 import os
 
@@ -55,12 +52,12 @@ if "repro" not in sys.modules:
 
 import numpy as np
 
-SCHEMA = "repro-bench-exec/2"
-REQUIRED_KEYS = {"backend", "n", "nrhs", "workers", "seconds", "mflops", "phases"}
+SCHEMA = "repro-bench-exec/3"
+REQUIRED_KEYS = {"backend", "n", "nrhs", "seconds", "mflops", "phases"}
 PHASE_KEYS = {"plan", "prepare", "forward", "backward"}
-BACKENDS = ("serial", "threads", "fused", "scipy")
+BACKENDS = ("serial", "fused", "scipy")
 #: Backends whose results must be *bitwise* equal to the serial reference.
-BITWISE_BACKENDS = {"threads", "fused"}
+BITWISE_BACKENDS = {"fused"}
 DEFAULT_OUT = ROOT / "BENCH_exec.json"
 
 #: --guard fails when fused exceeds this multiple of serial on grid3d
@@ -94,19 +91,16 @@ def _build_problem(kind: str, size: int):
     return a, sym, factor
 
 
-def bench_problem(kind: str, size: int, *, workers_list, repeats: int, tol: float = 1e-9):
+def bench_problem(kind: str, size: int, *, repeats: int, tol: float = 1e-9):
     """All backend timings for one problem; yields result records."""
     from repro.exec import (
-        backward_exec,
         backward_fused,
         clear_exec_caches,
-        forward_exec,
         forward_fused,
         fused_panels_for,
         plan_for,
         prepare_factor,
         program_for,
-        solve_exec,
         solve_fused,
     )
     from repro.numeric.trisolve import backward_supernodal, forward_supernodal
@@ -118,7 +112,7 @@ def bench_problem(kind: str, size: int, *, workers_list, repeats: int, tol: floa
     # them across every subsequent solve — that is the point of the
     # per-phase breakdown).
     t0 = time.perf_counter()
-    plan = plan_for(sym.stree)
+    plan_for(sym.stree)
     t_plan = time.perf_counter() - t0
     t0 = time.perf_counter()
     prepare_factor(factor)
@@ -130,7 +124,6 @@ def bench_problem(kind: str, size: int, *, workers_list, repeats: int, tol: floa
     lower = factor.to_lower_csc(sym.l_indptr, sym.l_indices).to_scipy().tocsr()
     upper = lower.T.tocsr()
     label = f"{kind}({size})"
-    stats = plan.stats()
 
     for nrhs in NRHS_LIST:
         rng = np.random.default_rng(2026)
@@ -138,8 +131,7 @@ def bench_problem(kind: str, size: int, *, workers_list, repeats: int, tol: floa
         x_ref = backward_supernodal(factor, forward_supernodal(factor, b))
         flops = 2 * sym.stree.solve_flops(nrhs)
 
-        def record(backend: str, workers: int, seconds: float, x: np.ndarray,
-                   phases: dict) -> dict:
+        def record(backend: str, seconds: float, x: np.ndarray, phases: dict) -> dict:
             err = float(np.max(np.abs(x - x_ref)))
             if backend in BITWISE_BACKENDS:
                 if not np.array_equal(x, x_ref):
@@ -158,18 +150,16 @@ def bench_problem(kind: str, size: int, *, workers_list, repeats: int, tol: floa
                 "backend": backend,
                 "n": int(a.n),
                 "nrhs": int(nrhs),
-                "workers": int(workers),
                 "seconds": float(seconds),
                 "mflops": float(flops / seconds / 1e6) if seconds > 0 else 0.0,
-                "ntasks": int(stats["ntasks"]),
-                "nlevels": int(stats["nlevels"]),
+                "nsuper": int(program.nsuper),
+                "nlevels": int(program.nlevels),
                 "phases": {k: float(v) for k, v in phases.items()},
             }
 
         y_ref = forward_supernodal(factor, b)
         yield record(
             "serial",
-            1,
             _best_of(lambda: backward_supernodal(factor, forward_supernodal(factor, b)),
                      repeats),
             x_ref,
@@ -181,27 +171,8 @@ def bench_problem(kind: str, size: int, *, workers_list, repeats: int, tol: floa
                                      repeats),
             },
         )
-        for w in workers_list:
-            yield record(
-                "threads",
-                w,
-                _best_of(lambda: solve_exec(factor, b, workers=w, plan=plan), repeats),
-                solve_exec(factor, b, workers=w, plan=plan),
-                {
-                    "plan": t_plan,
-                    "prepare": t_prepare,
-                    "forward": _best_of(
-                        lambda: forward_exec(factor, b, workers=w, plan=plan), repeats
-                    ),
-                    "backward": _best_of(
-                        lambda: backward_exec(factor, y_ref, workers=w, plan=plan),
-                        repeats,
-                    ),
-                },
-            )
         yield record(
             "fused",
-            1,
             _best_of(lambda: solve_fused(factor, b, program=program), repeats),
             solve_fused(factor, b, program=program),
             {
@@ -217,7 +188,6 @@ def bench_problem(kind: str, size: int, *, workers_list, repeats: int, tol: floa
         )
         yield record(
             "scipy",
-            1,
             _best_of(
                 lambda: spsolve_triangular(
                     upper, spsolve_triangular(lower, b, lower=True), lower=False
@@ -253,7 +223,7 @@ def validate_payload(payload: dict) -> list[str]:
             continue
         if rec["backend"] not in BACKENDS:
             errors.append(f"results[{i}] unknown backend {rec['backend']!r}")
-        for key in ("n", "nrhs", "workers"):
+        for key in ("n", "nrhs"):
             if not isinstance(rec[key], int) or rec[key] < 1:
                 errors.append(f"results[{i}].{key} must be a positive int")
         for key in ("seconds", "mflops"):
@@ -275,47 +245,31 @@ def validate_payload(payload: dict) -> list[str]:
 
 def render_table(results: list[dict]) -> str:
     lines = [
-        f"{'matrix':<12} {'nrhs':>4} {'backend':<8} {'workers':>7} "
+        f"{'matrix':<12} {'nrhs':>4} {'backend':<8} "
         f"{'ms':>10} {'MFLOPS':>9} {'fwd ms':>9} {'bwd ms':>9}"
     ]
     for rec in results:
         ph = rec["phases"]
         lines.append(
             f"{rec['matrix']:<12} {rec['nrhs']:>4} {rec['backend']:<8} "
-            f"{rec['workers']:>7} {rec['seconds'] * 1e3:>10.3f} {rec['mflops']:>9.1f} "
+            f"{rec['seconds'] * 1e3:>10.3f} {rec['mflops']:>9.1f} "
             f"{ph['forward'] * 1e3:>9.3f} {ph['backward'] * 1e3:>9.3f}"
         )
     return "\n".join(lines)
 
 
 def summarize_speedups(results: list[dict]) -> str:
-    """Per (matrix, nrhs): best threads vs serial, and fused vs serial."""
+    """Per (matrix, nrhs): fused vs serial."""
     serial = {(r["matrix"], r["nrhs"]): r["seconds"]
               for r in results if r["backend"] == "serial"}
-    lines = []
-    best: dict[tuple, dict] = {}
-    for r in results:
-        if r["backend"] != "threads":
-            continue
-        key = (r["matrix"], r["nrhs"])
-        if key not in best or r["seconds"] < best[key]["seconds"]:
-            best[key] = r
-    for (matrix, nrhs), r in sorted(best.items()):
-        speedup = serial[(matrix, nrhs)] / r["seconds"]
-        lines.append(
-            f"{matrix:<12} nrhs={nrhs:<3} threads(w={r['workers']}) vs serial: "
-            f"{speedup:5.2f}x"
+    return "\n".join(
+        f"{r['matrix']:<12} nrhs={r['nrhs']:<3} fused vs serial: "
+        f"{serial[(r['matrix'], r['nrhs'])] / r['seconds']:5.2f}x"
+        for r in sorted(
+            (r for r in results if r["backend"] == "fused"),
+            key=lambda r: (r["matrix"], r["nrhs"]),
         )
-    for r in sorted(
-        (r for r in results if r["backend"] == "fused"),
-        key=lambda r: (r["matrix"], r["nrhs"]),
-    ):
-        speedup = serial[(r["matrix"], r["nrhs"])] / r["seconds"]
-        lines.append(
-            f"{r['matrix']:<12} nrhs={r['nrhs']:<3} fused vs serial:        "
-            f"{speedup:5.2f}x"
-        )
-    return "\n".join(lines)
+    )
 
 
 def check_guard(results: list[dict]) -> list[str]:
@@ -351,39 +305,17 @@ def run(argv: list[str] | None = None) -> int:
                              "grid3d at NRHS=1 (CI regression tripwire)")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help=f"output JSON path (default {DEFAULT_OUT})")
-    parser.add_argument("--workers", type=int, nargs="+", default=None,
-                        help="thread counts to benchmark (default: 1, 2 and "
-                             "the machine default from "
-                             "repro.exec.default_workers(); quick: 2)")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repeats per configuration (best-of)")
     args = parser.parse_args(argv)
 
-    # The engine's own default-worker policy is the benchmark's ceiling,
-    # so the three call sites (engine, CLI, harness) cannot drift.
-    from repro.exec import default_workers
-
-    cap = default_workers()
-    ncpu = os.cpu_count() or 1
     problems = QUICK_PROBLEMS if args.quick else FULL_PROBLEMS
-    requested = args.workers or (
-        [min(2, cap)] if args.quick else sorted({1, min(2, cap), min(4, cap), cap})
-    )
-    # Oversubscribed worker counts measure scheduler thrash, not the
-    # engine; skip them rather than publish misleading numbers.
-    skipped = sorted({w for w in requested if w > ncpu})
-    workers_list = [w for w in requested if w <= ncpu]
-    for w in skipped:
-        print(f"skipping workers={w}: oversubscribes the {ncpu}-core machine",
-              file=sys.stderr)
-    if not workers_list:
-        workers_list = [1]
     repeats = args.repeats or (2 if args.quick else 5)
 
     results: list[dict] = []
     for kind, size in problems:
         t0 = time.perf_counter()
-        for rec in bench_problem(kind, size, workers_list=workers_list, repeats=repeats):
+        for rec in bench_problem(kind, size, repeats=repeats):
             results.append(rec)
         print(f"{kind}({size}) done in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
 
@@ -392,9 +324,7 @@ def run(argv: list[str] | None = None) -> int:
         "meta": {
             "quick": bool(args.quick),
             "repeats": repeats,
-            "cpu_count": ncpu,
-            "default_workers": cap,
-            "skipped_workers": skipped,
+            "cpu_count": os.cpu_count() or 1,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "python": sys.version.split()[0],
             "numpy": np.__version__,

@@ -64,7 +64,7 @@ REQUIRED_KEYS = {
     "matrix", "backend", "max_batch", "load", "requests", "columns",
     "seconds", "cols_per_sec", "mean_batch_width", "n_batches", "coalesced",
 }
-BACKENDS = ("serial", "threads", "fused")
+BACKENDS = ("serial", "fused")
 DEFAULT_OUT = ROOT / "BENCH_serve.json"
 
 #: --check fails unless coalesced throughput reaches this multiple of the

@@ -51,9 +51,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("SPMD communication lint: clean (forward + backward)")
     rng = np.random.default_rng(args.seed)
     b = rng.normal(size=(a.n, args.nrhs))
-    _, rep = solver.solve(
-        b, refine=args.refine, backend=args.backend, workers=args.workers
-    )
+    _, rep = solver.solve(b, refine=args.refine, backend=args.backend)
     print(f"matrix {args.matrix}(size={args.size}): N={a.n}, nnz={a.nnz}, "
           f"factor nnz={solver.symbolic.factor_nnz}")
     if rep.backend == "sim":
@@ -61,14 +59,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"p={rep.p} nrhs={rep.nrhs} backend=sim")
     else:
         kind = "wall-clock"
-        from repro.exec import default_workers, plan_for
+        from repro.exec import program_for
 
-        nw = 1
-        if rep.backend == "threads":
-            nw = rep.workers if rep.workers is not None else default_workers()
-        stats = plan_for(solver.symbolic.stree).stats()
-        print(f"nrhs={rep.nrhs} backend={rep.backend} workers={nw} "
-              f"tasks={stats['ntasks']} levels={stats['nlevels']}")
+        program = program_for(solver.symbolic.stree)
+        print(f"nrhs={rep.nrhs} backend={rep.backend} "
+              f"levels={program.nlevels} supernodes={program.nsuper}")
         if rep.schedule_certificate:
             print(f"schedule certificate: {rep.schedule_certificate}")
     print(f"  factorization : {rep.factor_seconds * 1e3:10.3f} ms  "
@@ -242,15 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ordering", default="nested_dissection")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--backend", default="sim",
-                   choices=["sim", "serial", "threads", "fused"],
+                   choices=["sim", "serial", "fused"],
                    help="triangular-solve execution: 'sim' walks the SPMD "
-                        "solvers through the machine simulator; 'serial', "
-                        "'threads' and 'fused' run them for real and report "
-                        "wall-clock ('fused' batches whole elimination-tree "
-                        "levels into vectorized array ops)")
-    s.add_argument("--workers", type=int, default=None,
-                   help="thread count for --backend threads (default: one "
-                        "per core, capped)")
+                        "solvers through the machine simulator; 'serial' and "
+                        "'fused' run them for real and report wall-clock "
+                        "('fused' batches whole elimination-tree levels into "
+                        "vectorized array ops)")
     s.add_argument("--no-verify", action="store_true",
                    help="skip the cheap structural invariant checks in prepare()")
     s.add_argument("--verify-comm", action="store_true",
@@ -304,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-wait", type=float, default=2e-3,
                    help="coalescer deadline in seconds")
     s.add_argument("--backend", default="fused",
-                   choices=["serial", "threads", "fused"])
+                   choices=["serial", "fused"])
     s.add_argument("--ordering", default="nested_dissection")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_serve_demo)

@@ -36,7 +36,7 @@ from repro.mapping.subtree_subcube import ProcSet, subtree_to_subcube
 from repro.numeric.supernodal import SupernodalFactor, cholesky_supernodal
 from repro.sparse.csc import SymCSC
 from repro.symbolic.analyze import SymbolicFactor, analyze
-from repro.util.validation import check_power_of_two, require
+from repro.util.validation import check_power_of_two, check_rhs, require
 
 
 @dataclass
@@ -58,17 +58,14 @@ class SolveReport:
 
     ``backend`` records where the triangular-solve seconds came from:
     ``"sim"`` (simulated machine makespans, the default), or the real
-    wall-clock backends ``"serial"`` / ``"threads"`` / ``"fused"`` of
-    :mod:`repro.exec`.
+    wall-clock backends ``"serial"`` / ``"fused"``.
 
-    ``schedule_certificate`` (``threads`` or ``fused`` backend with
-    ``verify=True``) is the determinism certificate of the statically
-    certified execution plan: a canonical hash over the schedule's
-    reduction orders and task topology.  It is a pure function of the
-    symbolic structure — two reports with equal certificates ran
-    schedule-equivalent (hence bitwise-identical) solves, for *any*
-    worker count and either real backend, without either run having to
-    be repeated.
+    ``schedule_certificate`` (``fused`` backend with ``verify=True``) is
+    the determinism certificate of the statically certified level
+    program: a canonical hash over the schedule's steps, reduction
+    orders and levels.  It is a pure function of the symbolic structure
+    — two reports with equal certificates ran schedule-equivalent (hence
+    bitwise-identical) solves, without either run having to be repeated.
     """
 
     n: int
@@ -81,7 +78,6 @@ class SolveReport:
     backward: TrisolveRun
     residual: float | None = None
     backend: str = "sim"
-    workers: int | None = None
     schedule_certificate: str | None = None
 
     @property
@@ -243,15 +239,16 @@ class ParallelSparseSolver:
         check: bool = True,
         refine: int = 0,
         backend: str = "sim",
-        workers: int | None = None,
     ) -> tuple[np.ndarray, SolveReport]:
         """Solve ``A x = b`` and report per-phase times.
 
-        *bvec* may be a vector or an ``(n, nrhs)`` block.  The returned
-        solution is in the original (pre-permutation) ordering.
-        ``refine`` adds that many steps of iterative refinement
-        (``x += A^{-1}(b - A x)``); each step re-runs both triangular
-        solves, and their time is accumulated in the report.
+        *bvec* may be a real vector or an ``(n, nrhs)`` block; a complex
+        or non-numeric *bvec* raises :class:`TypeError` and non-finite
+        entries raise :class:`ValueError`.  The returned solution is in
+        the original (pre-permutation) ordering.  ``refine`` adds that
+        many steps of iterative refinement (``x += A^{-1}(b - A x)``);
+        each step re-runs both triangular solves, and their time is
+        accumulated in the report.
 
         ``backend`` selects how the triangular solves run and what their
         reported seconds mean:
@@ -259,46 +256,31 @@ class ParallelSparseSolver:
         * ``"sim"`` (default) — the paper's SPMD solvers walked through
           the machine simulator; seconds are simulated makespans.
         * ``"serial"`` — the serial supernodal solvers of
-          :mod:`repro.numeric.trisolve`; seconds are measured wall-clock.
-        * ``"threads"`` — the shared-memory engine of :mod:`repro.exec`
-          with ``workers`` threads (default: one per core, capped);
-          seconds are measured wall-clock.  Results are bitwise
-          reproducible across worker counts.  With ``verify=True`` (the
-          solver default) the execution plan is first put through the
-          static schedule certifier — race-freedom, exactly-once
-          coverage, canonical reduction order — and the resulting
-          determinism certificate is recorded on the report
-          (``schedule_certificate``).  Certification is memoized per
-          structure, so only the first solve of a structure pays for the
-          proof: a sorted sweep over the plan's read/write effects,
-          ``O(R log R + P)`` in effect row entries ``R`` and overlapping
-          row entries ``P`` — near-linear in the factor's size.
+          :mod:`repro.numeric.trisolve`, the readable oracle; seconds
+          are measured wall-clock.
         * ``"fused"`` — the vectorized level program of
           :mod:`repro.exec.fused`: whole elimination-tree levels batched
           into a handful of array ops, no per-node Python dispatch, no
-          per-node allocations.  Bitwise identical to ``serial`` and
-          ``threads``.  With ``verify=True`` the compiled program is
-          certified against its plan
-          (:func:`repro.verify.schedule.certify_level_program`) and the
-          report carries the *same* determinism certificate the
-          ``threads`` backend earns — one structure, one certificate.
-          The first certified fused solve of a structure pays for this
-          proof once, at the same near-linear cost; measured on a 2-core
-          x86-64 box it takes about 0.05 s for ``fe_mesh_3d(10)``
-          (n = 1000) and about 0.9 s for ``grid2d_laplacian(96)``
-          (n = 9216).
+          per-node allocations.  Bitwise identical to ``serial``.  With
+          ``verify=True`` (the solver default) the compiled program is
+          first put through the static schedule certifier
+          (:func:`repro.verify.schedule.certify_level_program`) —
+          race-freedom, exactly-once coverage, canonical reduction
+          order — and the determinism certificate is recorded on the
+          report (``schedule_certificate``).  Certification is memoized
+          per structure, so only the first solve of a structure pays for
+          the proof: a sorted sweep over the plan's read/write effects,
+          ``O(R log R + P)`` in effect row entries ``R`` and overlapping
+          row entries ``P`` — near-linear in the factor's size.
 
         Factorization and redistribution seconds always come from the
         machine model — only the repo's real hot path (the solves) is
         measured for now.
         """
         sym, factor, assign = self._require_prepared()
-        require(backend in ("sim", "serial", "threads", "fused"),
-                f"backend must be 'sim', 'serial', 'threads' or 'fused', "
-                f"got {backend!r}")
-        require(workers is None or backend == "threads",
-                "workers is only meaningful with backend='threads'")
-        bvec = np.asarray(bvec, dtype=np.float64)
+        require(backend in ("sim", "serial", "fused"),
+                f"backend must be 'sim', 'serial' or 'fused', got {backend!r}")
+        bvec = check_rhs(bvec)
         squeeze = bvec.ndim == 1
         bmat = bvec[:, None] if squeeze else bvec
         require(bmat.shape[0] == self.a.n, "rhs size mismatch")
@@ -307,13 +289,13 @@ class ParallelSparseSolver:
         nrhs = bmat.shape[1]
 
         x, fwd_seconds, bwd_seconds, fwd_sim, bwd_sim = self._one_solve(
-            bmat, backend, workers
+            bmat, backend
         )
         for _ in range(refine):
             from repro.sparse.ops import matvec
 
             residual = bmat - matvec(self.a, x)
-            dx, fs, bs, _, _ = self._one_solve(residual, backend, workers)
+            dx, fs, bs, _, _ = self._one_solve(residual, backend)
             x = x + dx
             fwd_seconds += fs
             bwd_seconds += bs
@@ -329,14 +311,11 @@ class ParallelSparseSolver:
             forward=TrisolveRun(seconds=fwd_seconds, flops=solve_flops, sim=fwd_sim),
             backward=TrisolveRun(seconds=bwd_seconds, flops=solve_flops, sim=bwd_sim),
             backend=backend,
-            workers=workers,
         )
-        if self.verify and backend in ("threads", "fused"):
-            from repro.exec import certificate_for, fused_certificate_for
+        if self.verify and backend == "fused":
+            from repro.exec import fused_certificate_for
 
-            cert = (fused_certificate_for if backend == "fused"
-                    else certificate_for)(sym.stree)
-            report.schedule_certificate = cert.digest
+            report.schedule_certificate = fused_certificate_for(sym.stree).digest
         if check:
             from repro.sparse.ops import relative_residual
 
@@ -353,7 +332,6 @@ class ParallelSparseSolver:
         idle_wait: float | None = -1.0,
         max_queue: int | None = None,
         clock=None,
-        workers: int | None = None,
         key: str = "default",
     ):
         """A request-coalescing solve service over this prepared solver.
@@ -387,7 +365,6 @@ class ParallelSparseSolver:
                 idle_wait=idle_wait,
                 max_queue=max_queue,
                 clock=clock,
-                workers=workers,
             )
             service.register(key, self)
             try:
@@ -398,7 +375,7 @@ class ParallelSparseSolver:
         return _serving()
 
     def _one_solve(
-        self, bmat: np.ndarray, backend: str = "sim", workers: int | None = None
+        self, bmat: np.ndarray, backend: str = "sim"
     ) -> tuple[np.ndarray, float, float, SimResult | None, SimResult | None]:
         """One forward+backward pass; returns x (original order) and times."""
         sym, factor, assign = self._require_prepared()
@@ -424,7 +401,7 @@ class ParallelSparseSolver:
             t1 = perf_counter()
             x_perm = backward_supernodal(factor, y)
             t2 = perf_counter()
-        elif backend == "fused":
+        else:  # fused
             from repro.exec import backward_fused, forward_fused
             from repro.exec.cache import program_for
 
@@ -435,18 +412,6 @@ class ParallelSparseSolver:
             y = forward_fused(factor, b_perm, program=program)
             t1 = perf_counter()
             x_perm = backward_fused(factor, y, program=program)
-            t2 = perf_counter()
-        else:  # threads
-            from repro.exec import backward_exec, forward_exec, plan_for
-
-            # Cached across repeated solves; with verify=True the plan is
-            # also statically certified (once per structure) before any
-            # task is dispatched.
-            plan = plan_for(sym.stree, certify=self.verify)
-            t0 = perf_counter()
-            y = forward_exec(factor, b_perm, workers=workers, plan=plan)
-            t1 = perf_counter()
-            x_perm = backward_exec(factor, y, workers=workers, plan=plan)
             t2 = perf_counter()
         x = sym.perm.unapply_to_vector(x_perm)
         return x, t1 - t0, t2 - t1, None, None

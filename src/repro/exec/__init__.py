@@ -1,29 +1,28 @@
-"""Real shared-memory execution backends for the triangular solves.
+"""Real shared-memory execution of the triangular solves.
 
 The :mod:`repro.machine` layer *simulates* the paper's message-passing
 solvers to reproduce its timing figures; this package *executes* the
-solves on the host for real.  Two real backends share one schedule: the
-level-scheduled thread pool over the supernodal tree (``threads``) and
-the flat, vectorized level program (``fused``), which batches each
-elimination-tree level into a handful of whole-level array ops.  The
-layers are deliberately separate from the simulator: simulated seconds
-validate the paper's model, measured seconds feed the repo's perf
-trajectory (``BENCH_exec.json``).
+solves on the host for real.  The schedule is a level chain compiled
+from the supernodal tree: the fused backend runs each elimination-tree
+level as a handful of whole-level array ops, leaves first forward and
+root first backward.  The layers are deliberately separate from the
+simulator: simulated seconds validate the paper's model, measured
+seconds feed the repo's perf trajectory (``BENCH_exec.json``).
 
 Public surface:
 
-* :func:`forward_exec` / :func:`backward_exec` / :func:`solve_exec` —
-  the threaded engine entry points (vector or ``(n, nrhs)`` blocks).
 * :func:`forward_fused` / :func:`backward_fused` / :func:`solve_fused` —
-  the fused level-program entry points; bitwise identical results.
+  the fused level-program entry points (vector or ``(n, nrhs)``
+  blocks), bitwise identical to the serial supernodal walker.
 * :func:`build_plan` / :func:`plan_for` — explicit or cached
-  :class:`ExecPlan` construction; ``plan_for(..., certify=True)`` runs
-  the static schedule certifier (:mod:`repro.verify.schedule`) first.
+  :class:`ExecPlan` construction (per-supernode steps and levels).
 * :func:`compile_level_program` / :func:`program_for` — explicit or
-  cached compilation of a plan into a :class:`LevelProgram`.
-* :func:`certificate_for` / :func:`fused_certificate_for` — the memoized
-  determinism certificates (race-freedom + exactly-once coverage proofs)
-  for a structure's plan and for its fused level program.
+  cached compilation of a plan into a :class:`LevelProgram`;
+  ``program_for(..., certify=True)`` runs the static schedule certifier
+  (:mod:`repro.verify.schedule`) first.
+* :func:`fused_certificate_for` — the memoized determinism certificate
+  (race-freedom + exactly-once coverage proofs) of a structure's level
+  program.
 * :func:`prepare_factor`, :func:`fused_panels_for`,
   :func:`clear_exec_caches`, :func:`exec_cache_stats` — value
   preparation and cache control.
@@ -34,7 +33,6 @@ Public surface:
 from repro.exec.arena import WorkspaceArena
 from repro.exec.cache import (
     PreparedFactor,
-    certificate_for,
     clear_exec_caches,
     exec_cache_stats,
     fused_certificate_for,
@@ -42,14 +40,6 @@ from repro.exec.cache import (
     plan_for,
     prepare_factor,
     program_for,
-)
-from repro.exec.engine import (
-    MAX_DEFAULT_WORKERS,
-    backward_exec,
-    default_workers,
-    forward_exec,
-    resolve_workers,
-    solve_exec,
 )
 from repro.exec.fused import (
     FusedPanels,
@@ -59,24 +49,18 @@ from repro.exec.fused import (
     solve_fused,
 )
 from repro.exec.plan import (
-    DEFAULT_GRAIN,
     ExecPlan,
-    ExecTask,
     Level,
     LevelGroup,
     LevelOnes,
     LevelProgram,
     NodeStep,
     build_plan,
-    check_plan,
     compile_level_program,
 )
 
 __all__ = [
-    "DEFAULT_GRAIN",
-    "MAX_DEFAULT_WORKERS",
     "ExecPlan",
-    "ExecTask",
     "FusedPanels",
     "Level",
     "LevelGroup",
@@ -85,24 +69,17 @@ __all__ = [
     "NodeStep",
     "PreparedFactor",
     "WorkspaceArena",
-    "backward_exec",
     "backward_fused",
     "build_fused_panels",
     "build_plan",
-    "certificate_for",
-    "check_plan",
     "clear_exec_caches",
     "compile_level_program",
-    "default_workers",
     "exec_cache_stats",
-    "forward_exec",
     "forward_fused",
     "fused_certificate_for",
     "fused_panels_for",
     "plan_for",
     "prepare_factor",
     "program_for",
-    "resolve_workers",
-    "solve_exec",
     "solve_fused",
 ]

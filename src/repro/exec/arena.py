@@ -1,10 +1,10 @@
 """Reusable solve workspaces: the zero-allocation arena.
 
-The engine's original hot path paid one ``np.zeros((n_s, m))`` per
-supernode per solve plus a fresh contribution array per node — small
-allocations whose cost dwarfs the arithmetic on fine-grained trees.  The
-arena removes them: every buffer a solve needs is sized once per
-``(program-or-plan, nrhs)`` and reused across solves.
+A per-node hot path pays one ``np.zeros((n_s, m))`` per supernode per
+solve plus a fresh contribution array per node — small allocations whose
+cost dwarfs the arithmetic on fine-grained trees.  The arena removes
+them: every buffer a fused solve needs is sized once per
+``(program, nrhs)`` and reused across solves.
 
 :class:`WorkspaceArena` is a thread-safe lease/return pool attached to a
 :class:`~repro.exec.cache.PreparedFactor`.  A solve *leases* a workspace
@@ -13,17 +13,11 @@ to the free list — so steady-state repeated solves allocate nothing,
 while concurrent solves against the same factor each get their own
 buffers and never race.
 
-Two workspace shapes live here:
-
-* :class:`EngineWorkspace` — flat per-node accumulator and contribution
-  arenas for the threaded engine, carved by :func:`build_engine_workspace`
-  from an :class:`~repro.exec.plan.ExecPlan` (per-node slices are disjoint,
-  so concurrent tasks write without synchronisation);
-* :class:`FusedWorkspace` — the level-sized scratch of the fused backend,
-  carved by :func:`build_fused_workspace` from a
-  :class:`~repro.exec.plan.LevelProgram` (one accumulator the size of the
-  widest level, one contribution arena for the whole tree, plus gather /
-  product / dot scratch at their program-wide maxima).
+The one workspace shape is :class:`FusedWorkspace` — the level-sized
+scratch of the fused backend, carved by :func:`build_fused_workspace`
+from a :class:`~repro.exec.plan.LevelProgram` (one accumulator the size
+of the widest level, one contribution arena for the whole tree, plus
+gather / product / dot scratch at their program-wide maxima).
 """
 
 from __future__ import annotations
@@ -35,14 +29,14 @@ from typing import Callable, Hashable, Iterator
 
 import numpy as np
 
-from repro.exec.plan import ExecPlan, LevelProgram
+from repro.exec.plan import LevelProgram
 
 
 class WorkspaceArena:
     """Thread-safe lease/return pool of solve workspaces.
 
-    Workspaces are keyed by an arbitrary hashable (the backends use
-    ``(kind, id(plan-or-program), nrhs)``); :meth:`lease` pops a free one
+    Workspaces are keyed by an arbitrary hashable (the fused backend
+    uses ``("fused", id(program), nrhs)``); :meth:`lease` pops a free one
     or builds it via the caller's factory, and always returns it to the
     free list afterwards — even when the solve raises, since every buffer
     is fully rewritten by the next lease.  ``built``/``leases`` counters
@@ -78,39 +72,6 @@ class WorkspaceArena:
                 "leases": self.leases,
                 "free": sum(len(v) for v in self._free.values()),
             }
-
-
-# ------------------------------------------------------------------ engine
-@dataclass(frozen=True)
-class EngineWorkspace:
-    """Flat accumulator/contribution arenas for the threaded engine.
-
-    ``acc[acc_off[s]:acc_off[s+1]]`` is supernode *s*'s ``(n_s, m)``
-    accumulator; ``contrib[contrib_off[s]:contrib_off[s+1]]`` its
-    ``(n_s - t_s, m)`` contribution block.  Slices of distinct nodes are
-    disjoint, so concurrent tasks touch disjoint memory.
-    """
-
-    acc_off: np.ndarray
-    contrib_off: np.ndarray
-    acc: np.ndarray
-    contrib: np.ndarray
-
-
-def build_engine_workspace(plan: ExecPlan, m: int) -> EngineWorkspace:
-    """Size an :class:`EngineWorkspace` for *plan* at *m* right-hand sides."""
-    ns = len(plan.steps)
-    acc_off = np.zeros(ns + 1, dtype=np.int64)
-    contrib_off = np.zeros(ns + 1, dtype=np.int64)
-    for s, st in enumerate(plan.steps):
-        acc_off[s + 1] = acc_off[s] + st.n
-        contrib_off[s + 1] = contrib_off[s] + (st.n - st.t)
-    return EngineWorkspace(
-        acc_off=acc_off,
-        contrib_off=contrib_off,
-        acc=np.empty((int(acc_off[-1]), m)),
-        contrib=np.empty((int(contrib_off[-1]), m)),
-    )
 
 
 # ------------------------------------------------------------------ fused

@@ -2,32 +2,28 @@
 
 Repeated solves against the same factorization are the common case (multi
 right-hand-side workloads, iterative refinement, time stepping), so the
-engine never rebuilds what it can reuse:
+fused backend never rebuilds what it can reuse:
 
 * :func:`plan_for` caches one :class:`~repro.exec.plan.ExecPlan` per
-  ``(symbolic structure, grain)``.  The key is the identity of the
+  symbolic structure.  The key is the identity of the
   :class:`~repro.symbolic.stree.SupernodalTree` — the object every
   :class:`~repro.symbolic.analyze.SymbolicFactor` and
   :class:`~repro.numeric.supernodal.SupernodalFactor` share — and entries
   are evicted automatically when the structure is garbage collected.
-  ``plan_for(..., certify=True)`` additionally runs the static schedule
-  certifier (:func:`repro.verify.schedule.certify_plan`) over the plan
-  and raises :class:`repro.verify.VerificationError` on any finding;
-  the resulting :class:`~repro.verify.schedule.ScheduleCertificate` is
-  memoized alongside the plan (same key, same eviction), so repeated
+* :func:`program_for` caches the compiled
+  :class:`~repro.exec.plan.LevelProgram` per structure, and
+  :func:`fused_certificate_for` its schedule certificate
+  (:func:`repro.verify.schedule.certify_level_program`, the one
+  certifier), memoized with the same key and eviction so repeated
   certified solves pay for the proof exactly once per structure.
 * :func:`prepare_factor` caches a :class:`PreparedFactor` per numeric
   factor: contiguous diagonal/rectangle views of each trapezoid plus a
   one-time singularity screen, so a zero or non-finite diagonal raises a
-  clean :class:`ValueError` *before* any task is dispatched (never a
-  wrong answer or a hung pool).  Each prepared factor owns a
-  :class:`~repro.exec.arena.WorkspaceArena`, so the solve workspaces of
-  both real backends share the factor's lifetime and eviction.
-* :func:`program_for` caches the compiled
-  :class:`~repro.exec.plan.LevelProgram` per structure (programs are
-  grain-invariant, so one entry serves every grain), and
-  :func:`fused_certificate_for` its schedule certificate;
-  :func:`fused_panels_for` caches the packed width-1 panel values per
+  clean :class:`ValueError` *before* any sweep starts (never a wrong
+  answer).  Each prepared factor owns a
+  :class:`~repro.exec.arena.WorkspaceArena`, so the solve workspaces
+  share the factor's lifetime and eviction.
+* :func:`fused_panels_for` caches the packed width-1 panel values per
   numeric factor.
 
 All caches are thread-safe and observable (:func:`exec_cache_stats`),
@@ -44,13 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exec.arena import WorkspaceArena
-from repro.exec.plan import (
-    DEFAULT_GRAIN,
-    ExecPlan,
-    LevelProgram,
-    build_plan,
-    compile_level_program,
-)
+from repro.exec.plan import ExecPlan, LevelProgram, build_plan, compile_level_program
 from repro.numeric.supernodal import SupernodalFactor
 from repro.symbolic.stree import SupernodalTree
 
@@ -100,55 +90,19 @@ class _IdentityCache:
 
 _PLANS = _IdentityCache("plans")
 _PREPARED = _IdentityCache("prepared")
-_CERTS = _IdentityCache("certs")
 _PROGRAMS = _IdentityCache("programs")
 _FUSED_CERTS = _IdentityCache("fused-certs")
 _PANELS = _IdentityCache("panels")
 
 
-def plan_for(
-    stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN, certify: bool = False
-) -> ExecPlan:
-    """The cached execution plan for *stree* (built on first use).
-
-    With ``certify=True`` the plan is additionally put through the
-    static schedule certifier before it is handed out:
-    :class:`repro.verify.VerificationError` is raised if the certifier
-    finds a race, a coverage violation, or a nondeterministic reduction
-    order.  The certificate is cached alongside the plan, so only the
-    first certified call per ``(structure, grain)`` pays for the proof.
-    """
-    key = (id(stree), int(grain))
+def plan_for(stree: SupernodalTree) -> ExecPlan:
+    """The cached execution plan for *stree* (built on first use)."""
+    key = ("plan", id(stree))
     plan = _PLANS.lookup(stree, key)
     if plan is None:
-        plan = build_plan(stree, grain=grain)
+        plan = build_plan(stree)
         _PLANS.store(stree, key, plan)
-    if certify:
-        certificate_for(stree, grain=grain).report.raise_if_errors(
-            "execution plan failed schedule certification"
-        )
     return plan  # type: ignore[return-value]
-
-
-def certificate_for(
-    stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN
-) -> "ScheduleCertificate":
-    """The cached schedule certificate for *stree*'s plan at *grain*.
-
-    Runs :func:`repro.verify.schedule.certify_plan` on first use and
-    memoizes the result with the same identity key and weakref eviction
-    as the plan itself.  Returns the certificate whether or not it is
-    clean — callers decide between inspecting ``.report`` and failing
-    fast (:func:`plan_for` with ``certify=True`` does the latter).
-    """
-    key = (id(stree), int(grain))
-    cert = _CERTS.lookup(stree, key)
-    if cert is None:
-        from repro.verify.schedule import certify_plan
-
-        cert = certify_plan(plan_for(stree, grain=grain), stree)
-        _CERTS.store(stree, key, cert)
-    return cert  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -203,11 +157,10 @@ def prepare_factor(factor: SupernodalFactor) -> PreparedFactor:
 def program_for(stree: SupernodalTree, *, certify: bool = False) -> LevelProgram:
     """The cached fused :class:`LevelProgram` for *stree*.
 
-    Level programs depend only on the symbolic structure (they are
-    grain-invariant), so one cached entry serves every grain.  With
-    ``certify=True`` the program must additionally pass the fused
-    schedule certifier (:func:`fused_certificate_for`) before it is
-    handed out.
+    Level programs depend only on the symbolic structure, so one cached
+    entry serves every factor of it.  With ``certify=True`` the program
+    must additionally pass the schedule certifier
+    (:func:`fused_certificate_for`) before it is handed out.
     """
     key = ("program", id(stree))
     prog = _PROGRAMS.lookup(stree, key)
@@ -224,10 +177,10 @@ def program_for(stree: SupernodalTree, *, certify: bool = False) -> LevelProgram
 def fused_certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
     """The cached schedule certificate for *stree*'s fused level program.
 
-    The certificate carries the *plan's* canonical digest — certifying
-    the program means proving it is a faithful, race-free re-layout of
-    the same schedule, so fused solves earn the identical certificate
-    the threaded backend does.
+    Runs :func:`repro.verify.schedule.certify_level_program` on first
+    use and returns the certificate whether or not it is clean — callers
+    decide between inspecting ``.report`` and failing fast
+    (:func:`program_for` with ``certify=True`` does the latter).
     """
     key = ("fused-cert", id(stree))
     cert = _FUSED_CERTS.lookup(stree, key)
@@ -257,14 +210,13 @@ def clear_exec_caches() -> None:
     """Drop all cached plans, programs, prepared factors and certificates."""
     _PLANS.clear()
     _PREPARED.clear()
-    _CERTS.clear()
     _PROGRAMS.clear()
     _FUSED_CERTS.clear()
     _PANELS.clear()
 
 
 def exec_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for all six caches."""
+    """Hit/miss/size counters for all five caches."""
     return {
         "plan_hits": _PLANS.hits,
         "plan_misses": _PLANS.misses,
@@ -272,9 +224,6 @@ def exec_cache_stats() -> dict[str, int]:
         "factor_hits": _PREPARED.hits,
         "factor_misses": _PREPARED.misses,
         "factor_entries": len(_PREPARED),
-        "cert_hits": _CERTS.hits,
-        "cert_misses": _CERTS.misses,
-        "cert_entries": len(_CERTS),
         "program_hits": _PROGRAMS.hits,
         "program_misses": _PROGRAMS.misses,
         "program_entries": len(_PROGRAMS),

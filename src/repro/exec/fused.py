@@ -1,19 +1,20 @@
 """The fused, level-batched execution backend (``backend="fused"``).
 
-The threaded engine already beats the serial walker, but its hot path is
-per-node Python dispatch: one loop iteration, one ``np.zeros``, one
-scatter loop per supernode.  On fine-grained elimination trees (2-D/3-D
-grid problems are ~85% width-1 supernodes) that overhead dwarfs the BLAS
-work.  This module executes the :class:`~repro.exec.plan.LevelProgram`
-compiled from the plan instead — per level:
+A per-node walker (the serial oracle, :mod:`repro.numeric.trisolve`)
+pays Python dispatch per supernode: one loop iteration, one
+``np.zeros``, one scatter loop.  On fine-grained elimination trees
+(2-D/3-D grid problems are ~85% width-1 supernodes) that overhead dwarfs
+the BLAS work.  This module executes the
+:class:`~repro.exec.plan.LevelProgram` compiled from the plan instead —
+per level:
 
 * one ``np.take`` gathers every panel top of the level into the packed
   accumulator;
 * one ``np.take`` + ``np.add.at`` replays all child-contribution
   scatters of the level through flat int64 index vectors, in the plan's
   (parent ascending, child ascending) order — ``np.add.at`` applies
-  updates in index order, so the reduction is exactly the engine's
-  deterministic ascending-child sum;
+  updates in index order, so the reduction is exactly the serial
+  walker's deterministic ascending-child sum;
 * the width-1 lane solves all its panels with one broadcast divide, one
   replicated multiply and one subtract (forward) or one level-wide
   product + ``np.add.reduceat`` (backward);
@@ -29,7 +30,7 @@ Every buffer comes from a :class:`~repro.exec.arena.FusedWorkspace`
 leased from the prepared factor's arena, so a steady-state solve
 performs no per-node allocations at all.  All dense math matches the
 canonical kernels in :mod:`repro.numeric.kernels` op for op; solutions
-are bitwise identical to the ``serial`` and ``threads`` backends.
+are bitwise identical to the ``serial`` backend.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def forward_fused(
     """Solve ``L y = b`` with the fused level program.
 
     *b* may be a vector or an ``(n, nrhs)`` block; the result matches the
-    input's shape and is bitwise identical to every other real backend.
+    input's shape and is bitwise identical to the serial backend.
     """
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)

@@ -1,29 +1,26 @@
-"""Execution plans: level-scheduled task graphs over the supernodal tree.
+"""Execution plans: the level chain compiled from the supernodal tree.
 
 The simulated solvers in :mod:`repro.core` model the paper's
 message-passing algorithms; this module is the *real* counterpart.  It
 turns a :class:`~repro.symbolic.stree.SupernodalTree` into an
-:class:`ExecPlan` — everything the shared-memory engine
-(:mod:`repro.exec.engine`) needs to run forward elimination and backward
-substitution without recomputing any structure:
+:class:`ExecPlan` — the per-supernode structure the fused backend
+(:mod:`repro.exec.fused`) needs to run forward elimination and backward
+substitution without recomputing any of it:
 
 * **Per-supernode steps** (:class:`NodeStep`): column range, trapezoid
-  shape, the ascending child list (which fixes the engine's deterministic
+  shape, the ascending child list (which fixes the deterministic
   reduction order), and precomputed scatter indices mapping each child's
   below-rows into this node's rows (the solve-phase analogue of the
   multifrontal extend-add).
-* **Subtree task aggregation**: every subtree whose whole solve costs at
-  most ``grain`` flops per right-hand side collapses into a single task
-  executed sequentially inside one worker, exactly the paper's
-  subtree-to-subcube intuition — independent subtrees are the cheap,
-  embarrassingly parallel part, and scheduling them node by node would
-  drown in dispatch overhead.  Supernodes above the threshold become
-  singleton tasks (the pipelined top of the tree).
-* **The task tree** with dependency counts for both directions: a forward
-  task is ready when all of its child tasks finished; a backward task is
-  ready when its parent task finished.
+* **Bottom-up node levels**: the schedule is a chain of elimination-tree
+  levels — every child sits strictly below its parent, so running the
+  levels in order (forward) or in reverse (backward) orders every
+  contribution hand-off, the shared-memory analogue of the paper's
+  level-by-level pipelining up the subtree-to-subcube tree.
 
-Plans depend only on the symbolic structure (never on numeric values), so
+:func:`compile_level_program` then flattens the plan into the
+:class:`LevelProgram` the fused backend executes.  Plans and programs
+depend only on the symbolic structure (never on numeric values), so
 they are cached per structure by :mod:`repro.exec.cache`.
 """
 
@@ -33,24 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.symbolic.etree import NO_PARENT
 from repro.symbolic.stree import SupernodalTree
-from repro.util.flops import supernode_solve_flops
 from repro.util.validation import require
-
-#: Default aggregation grain: subtrees cheaper than this many flops per
-#: right-hand side run as one sequential task.  Chosen so that a task's
-#: arithmetic comfortably outweighs one ThreadPoolExecutor dispatch.
-DEFAULT_GRAIN = 4096
 
 
 @dataclass(frozen=True, slots=True)
 class NodeStep:
     """Structure-only data for one supernode, consumed by the hot loop.
 
-    ``children`` ascend, and the engine always reduces child contributions
-    in this order — that (not the thread schedule) is what makes the
-    backend bitwise reproducible across worker counts.
+    ``children`` ascend, and every backend reduces child contributions
+    in this order — that is what makes the real backends bitwise
+    reproducible.
     """
 
     s: int
@@ -63,21 +53,6 @@ class NodeStep:
     child_scatter: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ExecTask:
-    """One schedulable unit: a supernode, or a whole aggregated subtree.
-
-    ``nodes`` ascend, which over a postordered tree is a valid bottom-up
-    order inside the task (children precede parents); the backward sweep
-    simply walks it reversed.
-    """
-
-    index: int
-    root: int
-    nodes: tuple[int, ...]
-    flops1: int
-
-
 @dataclass(frozen=True)
 class ExecPlan:
     """A reusable schedule for one symbolic structure.
@@ -85,58 +60,13 @@ class ExecPlan:
     Attributes
     ----------
     steps : per-supernode :class:`NodeStep`, indexed by supernode id.
-    tasks : task list, topologically sorted (child tasks first).
-    task_parent : parent task index per task (-1 at roots).
-    task_children : child task indices per task (ascending).
-    task_level : bottom-up level per task (leaf tasks at 0).
-    node_level : bottom-up level per *supernode* (from
-        :meth:`repro.symbolic.stree.SupernodalTree.bottom_up_levels`).
-    grain : the aggregation threshold the plan was built with.
+    node_level : bottom-up level per supernode (from
+        :meth:`repro.symbolic.stree.SupernodalTree.bottom_up_levels`);
+        leaves at 0, every parent strictly above its children.
     """
 
     steps: list[NodeStep]
-    tasks: list[ExecTask]
-    task_parent: np.ndarray
-    task_children: list[list[int]]
-    task_level: np.ndarray
     node_level: np.ndarray
-    grain: int
-
-    @property
-    def ntasks(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def nlevels(self) -> int:
-        return int(self.task_level.max()) + 1 if self.ntasks else 0
-
-    def forward_deps(self) -> tuple[list[int], list[list[int]]]:
-        """(dependency counts, dependents) for the leaves-to-roots sweep."""
-        ndeps = [len(self.task_children[i]) for i in range(self.ntasks)]
-        dependents: list[list[int]] = [
-            [] if self.task_parent[i] == -1 else [int(self.task_parent[i])]
-            for i in range(self.ntasks)
-        ]
-        return ndeps, dependents
-
-    def backward_deps(self) -> tuple[list[int], list[list[int]]]:
-        """(dependency counts, dependents) for the roots-to-leaves sweep."""
-        ndeps = [0 if self.task_parent[i] == -1 else 1 for i in range(self.ntasks)]
-        dependents = [list(self.task_children[i]) for i in range(self.ntasks)]
-        return ndeps, dependents
-
-    def stats(self) -> dict[str, int]:
-        """Summary counters (used by the CLI and the benchmark harness)."""
-        singleton = sum(1 for t in self.tasks if len(t.nodes) == 1)
-        return {
-            "nsuper": len(self.steps),
-            "ntasks": self.ntasks,
-            "nlevels": self.nlevels,
-            "subtree_tasks": self.ntasks - singleton,
-            "singleton_tasks": singleton,
-            "max_task_nodes": max((len(t.nodes) for t in self.tasks), default=0),
-            "grain": self.grain,
-        }
 
 
 def _node_steps(stree: SupernodalTree) -> list[NodeStep]:
@@ -173,76 +103,9 @@ def _node_steps(stree: SupernodalTree) -> list[NodeStep]:
     return steps
 
 
-def build_plan(stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN) -> ExecPlan:
-    """Build the level-scheduled task graph for one supernodal tree."""
-    require(grain >= 0, f"grain must be >= 0, got {grain!r}")
-    ns = stree.nsuper
-    steps = _node_steps(stree)
-    node_level = stree.bottom_up_levels()
-
-    # Solve flops per RHS of each node and of each whole subtree.
-    flops1 = np.array(
-        [supernode_solve_flops(sn.n, sn.t, 1) for sn in stree.supernodes], dtype=np.int64
-    )
-    subtree = flops1.copy()
-    for s in range(ns):
-        p = int(stree.parent[s])
-        if p != NO_PARENT:
-            subtree[p] += subtree[s]
-
-    # Task roots: a node joins its parent's task iff the parent's whole
-    # subtree is below the grain (then so is its own).  Parents have higher
-    # indices, so a descending sweep sees root[p] before root[s].
-    root = np.arange(ns, dtype=np.int64)
-    for s in range(ns - 1, -1, -1):
-        p = int(stree.parent[s])
-        if p != NO_PARENT and subtree[p] <= grain:
-            root[s] = root[p]
-
-    members: dict[int, list[int]] = {}
-    for s in range(ns):
-        members.setdefault(int(root[s]), []).append(s)
-
-    tasks: list[ExecTask] = []
-    task_of = np.full(ns, -1, dtype=np.int64)
-    for ti, r in enumerate(sorted(members)):
-        nodes = members[r]  # ascending by construction
-        task_of[nodes] = ti
-        tasks.append(
-            ExecTask(
-                index=ti,
-                root=r,
-                nodes=tuple(nodes),
-                flops1=int(flops1[nodes].sum()),
-            )
-        )
-
-    ntasks = len(tasks)
-    task_parent = np.full(ntasks, -1, dtype=np.int64)
-    task_children: list[list[int]] = [[] for _ in range(ntasks)]
-    for ti, task in enumerate(tasks):
-        p = int(stree.parent[task.root])
-        if p != NO_PARENT:
-            tp = int(task_of[p])
-            task_parent[ti] = tp
-            task_children[tp].append(ti)
-
-    # Child tasks have smaller roots than their parents, hence smaller
-    # indices: an ascending sweep yields bottom-up levels directly.
-    task_level = np.zeros(ntasks, dtype=np.int64)
-    for ti in range(ntasks):
-        if task_children[ti]:
-            task_level[ti] = 1 + max(int(task_level[c]) for c in task_children[ti])
-
-    return ExecPlan(
-        steps=steps,
-        tasks=tasks,
-        task_parent=task_parent,
-        task_children=task_children,
-        task_level=task_level,
-        node_level=node_level,
-        grain=int(grain),
-    )
+def build_plan(stree: SupernodalTree) -> ExecPlan:
+    """Build the per-supernode steps and bottom-up levels of *stree*."""
+    return ExecPlan(steps=_node_steps(stree), node_level=stree.bottom_up_levels())
 
 
 # --------------------------------------------------------------- level program
@@ -325,8 +188,7 @@ class LevelProgram:
     Per elimination-tree level every supernode panel's position is fixed
     at compile time, so the fused backend executes a level as a handful of
     whole-level array ops instead of per-node Python dispatch.  The
-    program depends only on ``plan.steps`` and ``plan.node_level`` — both
-    grain-invariant — so one program serves every grain of the structure.
+    program depends only on ``plan.steps`` and ``plan.node_level``.
 
     ``node_top_off``/``node_below_off`` give each supernode's rows inside
     its level's accumulator (-1 where absent); ``contrib_off`` its slice
@@ -362,7 +224,7 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
     child-contribution edge of the plan is flattened into one pair of
     int64 gather/scatter vectors preserving the plan's ascending-child
     reduction order — so the fused execution is bitwise identical to the
-    per-node engine.
+    per-node serial walker.
     """
     steps = plan.steps
     ns = len(steps)
@@ -569,22 +431,3 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         max_wk=max_wk,
     )
 
-
-def check_plan(plan: ExecPlan, stree: SupernodalTree) -> None:
-    """Structural self-check: partition, topology, level consistency.
-
-    Used by tests and by callers that construct plans manually; raises
-    :class:`ValueError` on the first violated invariant.
-    """
-    seen: list[int] = []
-    for task in plan.tasks:
-        require(list(task.nodes) == sorted(task.nodes), "task nodes must ascend")
-        seen.extend(task.nodes)
-    require(sorted(seen) == list(range(stree.nsuper)),
-            "tasks must partition the supernodes")
-    for ti, task in enumerate(plan.tasks):
-        tp = int(plan.task_parent[ti])
-        if tp != -1:
-            require(tp > ti, "parent tasks must follow their children")
-            require(int(plan.task_level[ti]) < int(plan.task_level[tp]),
-                    "task levels must strictly increase towards the roots")

@@ -1,9 +1,8 @@
 """Canonical dense solve kernels shared by every real backend.
 
-The repo has three real executions of the triangular solves — the serial
-supernodal walker (:mod:`repro.numeric.trisolve`), the threaded engine
-(:mod:`repro.exec.engine`) and the fused level program
-(:mod:`repro.exec.fused`).  All three promise *bitwise identical*
+The repo has two real executions of the triangular solves — the serial
+supernodal walker (:mod:`repro.numeric.trisolve`) and the fused level
+program (:mod:`repro.exec.fused`).  Both promise *bitwise identical*
 solutions, which is only possible if every floating-point operation is
 performed by the same kernel on the same operands in the same order.
 This module is that single source of truth:

@@ -19,9 +19,9 @@ For ``m`` right-hand sides every vector op becomes the corresponding
 
 The forward sweep deliberately uses the *hierarchical contribution* form
 (per-node accumulators reduced in ascending child order) rather than
-scattering each rectangle straight into ``y``: that is the one summation
-order every schedule of the parallel backends can reproduce, so serial,
-threaded and fused results are **bitwise identical** — same canonical
+scattering each rectangle straight into ``y``: that is the summation
+order the fused level program reproduces, so serial and fused results
+are **bitwise identical** — same canonical
 kernels (:mod:`repro.numeric.kernels`), same operands, same order.
 Simplicial variants over :class:`LowerCSC` serve as independent references.
 """

@@ -27,7 +27,9 @@ Two execution modes share all of the above:
 Registration reuses the weakref caches of :mod:`repro.exec.cache`
 (plans, level programs, prepared factors, packed panels), so the
 service adds no per-request preparation cost on top of the cached
-backends.
+backends.  Requests are validated (:func:`repro.util.validation.check_rhs`)
+before they are queued, so a bad right-hand side is refused at
+:meth:`SolveService.submit` and never poisons a batch.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from repro.numeric.trisolve import as_rhs_matrix
 from repro.serve.batcher import Batch, Coalescer, SolveRequest
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.report import BatchRecord, ServeReport
+from repro.util.validation import check_rhs
 
 #: Backends a service may execute batches on (all bitwise-identical).
-SERVE_BACKENDS = ("serial", "threads", "fused")
+SERVE_BACKENDS = ("serial", "fused")
 
 
 @dataclass(frozen=True)
@@ -65,17 +68,9 @@ def _solve_fn(
     perm,
     *,
     certify: bool,
-    workers: int | None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Build the packed-batch solve path and warm every cache it uses."""
-    from repro.exec import (
-        fused_panels_for,
-        plan_for,
-        prepare_factor,
-        program_for,
-        solve_exec,
-        solve_fused,
-    )
+    from repro.exec import fused_panels_for, prepare_factor, program_for, solve_fused
     from repro.numeric.trisolve import solve_supernodal
 
     prepare_factor(factor)  # validates the diagonal once, at registration
@@ -83,9 +78,6 @@ def _solve_fn(
         program = program_for(factor.stree, certify=certify)
         fused_panels_for(factor)
         core = lambda bmat: solve_fused(factor, bmat, program=program)
-    elif backend == "threads":
-        plan = plan_for(factor.stree, certify=certify)
-        core = lambda bmat: solve_exec(factor, bmat, workers=workers, plan=plan)
     else:  # serial
         core = lambda bmat: solve_supernodal(factor, bmat)
     if perm is None:
@@ -99,9 +91,9 @@ class SolveService:
     Parameters
     ----------
     backend :
-        How packed batches execute: ``"fused"`` (default), ``"threads"``
-        or ``"serial"`` — all bitwise-identical, so the choice is purely
-        a throughput knob.
+        How packed batches execute: ``"fused"`` (default) or
+        ``"serial"`` — bitwise-identical, so the choice is purely a
+        throughput knob.
     max_batch, max_wait, idle_wait, max_queue :
         The coalescer's flush policy and backpressure bound (see
         :class:`~repro.serve.batcher.Coalescer`).
@@ -109,8 +101,6 @@ class SolveService:
         The time source.  A real clock (default) starts a dispatcher
         thread; a clock with ``drives_threads=False`` (the fake clock)
         selects manual-pump mode.
-    workers :
-        Thread count for ``backend="threads"`` batches.
     """
 
     def __init__(
@@ -122,16 +112,12 @@ class SolveService:
         idle_wait: float | None = -1.0,
         max_queue: int | None = None,
         clock: Clock | None = None,
-        workers: int | None = None,
     ):
         if backend not in SERVE_BACKENDS:
             raise ValueError(
                 f"backend must be one of {SERVE_BACKENDS}, got {backend!r}"
             )
-        if workers is not None and backend != "threads":
-            raise ValueError("workers is only meaningful with backend='threads'")
         self.backend = backend
-        self.workers = workers
         self._clock = clock if clock is not None else MonotonicClock()
         self._cond = threading.Condition()
         self._coalescer = Coalescer(
@@ -202,15 +188,10 @@ class SolveService:
 
         if isinstance(target, ParallelSparseSolver):
             sym, factor, _ = target._require_prepared()
-            solve = _solve_fn(
-                self.backend, factor, sym.perm,
-                certify=target.verify, workers=self.workers,
-            )
+            solve = _solve_fn(self.backend, factor, sym.perm, certify=target.verify)
             n = factor.n
         elif isinstance(target, SupernodalFactor):
-            solve = _solve_fn(
-                self.backend, target, None, certify=False, workers=self.workers
-            )
+            solve = _solve_fn(self.backend, target, None, certify=False)
             n = target.n
         else:
             raise TypeError(
@@ -237,7 +218,9 @@ class SolveService:
         *b* is a length-``n`` vector or an ``(n, w)`` block with
         ``w <= max_batch``; the future resolves to the same shape.  The
         result is bitwise identical to the standalone solve of *b* on
-        the service's backend, whatever batch it lands in.  Raises
+        the service's backend, whatever batch it lands in.  A complex or
+        non-numeric *b* raises :class:`TypeError` and non-finite entries
+        raise :class:`ValueError`, before anything is queued.  Raises
         :class:`~repro.serve.batcher.QueueFullError` under backpressure
         and :class:`RuntimeError` once the service is closing.
         """
@@ -248,7 +231,7 @@ class SolveService:
                     f"no system registered under {key!r} "
                     f"(registered: {sorted(self._entries)})"
                 )
-        rhs, squeeze = as_rhs_matrix(b, entry.n)
+        rhs, squeeze = as_rhs_matrix(check_rhs(b), entry.n)
         fut: Future = Future()
         with self._cond:
             if self._stopping or self._closed:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 
 def require(condition: bool, message: str) -> None:
     """Raise :class:`ValueError` with *message* unless *condition* holds."""
@@ -49,6 +51,25 @@ def check_square(shape: tuple[int, ...], name: str = "matrix") -> None:
     """Validate that *shape* describes a square 2-D array."""
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"{name} must be square, got shape {shape!r}")
+
+
+def check_rhs(b: Any) -> np.ndarray:
+    """Validate a right-hand side and return it as a float64 array.
+
+    The solvers are real-valued: a complex or non-numeric *b* raises
+    :class:`TypeError` (a cast would silently drop the imaginary part),
+    and NaN or infinite entries raise :class:`ValueError` (they would
+    only come back as a NaN solution).
+    """
+    arr = np.asarray(b)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(
+            f"right-hand side must be real and numeric, got dtype {arr.dtype}"
+        )
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError("right-hand side has non-finite (NaN or inf) entries")
+    return arr
 
 
 def as_int(value: Any, name: str) -> int:

@@ -17,10 +17,10 @@ of them *before* anything executes:
   maps and block-cyclic layouts.
 * :mod:`repro.verify.effects` / :mod:`repro.verify.schedule` — the
   schedule certifier for the real shared-memory execution layer
-  (:mod:`repro.exec`): per-task read/write effect summaries, a
-  happens-before race check over the dependency-counted task tree,
-  exactly-once coverage proofs, and a canonical determinism
-  certificate (:func:`certify_plan`).
+  (:mod:`repro.exec`): per-node read/write effect summaries tagged with
+  each node's level, a level-order race check, exactly-once coverage
+  proofs, and a canonical determinism certificate
+  (:func:`certify_level_program`).
 * :mod:`repro.verify.lint` — AST lint with repo-specific rules
   (unseeded randomness, CSC index-array mutation, bare asserts,
   unused imports).
@@ -54,7 +54,7 @@ from repro.verify.gate import (
     run_source_lint,
     run_structure_checks,
 )
-from repro.verify.schedule import ScheduleCertificate, certify_plan, plan_digest
+from repro.verify.schedule import ScheduleCertificate, certify_level_program, plan_digest
 from repro.verify.invariants import (
     check_assignment,
     check_block_cyclic_conformance,
@@ -75,7 +75,7 @@ __all__ = [
     "Severity",
     "VerificationError",
     "backward_effects",
-    "certify_plan",
+    "certify_level_program",
     "effect_conflicts",
     "forward_effects",
     "merge",

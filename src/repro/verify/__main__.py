@@ -8,7 +8,7 @@ Examples
 --------
 ``python -m repro.verify``
     Full repo gate: source lint + structural invariants + schedule
-    certification of the execution-plan battery + SPMD solver
+    certification of the level-program battery + SPMD solver
     communication lint.
 ``python -m repro.verify --corpus bad``
     Run the seeded known-bad corpus (including the execution-plan

@@ -139,30 +139,32 @@ def _cyclic_graph() -> Report:
 
 # ----------------------------------------------------- execution-plan mutants
 def _plan_and_tree():
-    """A small pristine execution plan to mutate (grid2d(5), grain 64)."""
+    """A small pristine execution plan to mutate (grid2d(5))."""
     from repro.exec.plan import build_plan
     from repro.sparse.generators import grid2d_laplacian
     from repro.symbolic.analyze import analyze
 
     sym = analyze(grid2d_laplacian(5))
-    return build_plan(sym.stree, grain=64), sym.stree
+    return build_plan(sym.stree), sym.stree
 
 
 def _certify(plan, stree) -> Report:
-    from repro.verify.schedule import certify_plan
+    """Compile *plan* and put it through the one schedule certifier."""
+    from repro.exec.plan import compile_level_program
+    from repro.verify.schedule import certify_level_program
 
-    return certify_plan(plan, stree).report
+    return certify_level_program(compile_level_program(plan), plan, stree).report
 
 
-def _plan_dropped_dependency() -> Report:
-    # Remove one child task from a parent's dependency list: the parent's
-    # forward counter under-counts, so it can start before that child has
-    # published its contribution — a latent data race.
+def _program_child_above_parent() -> Report:
+    # Lift one child to its parent's level + 1: the level chain now runs
+    # the parent before the child has written its contribution — a
+    # read-before-write race the level barrier cannot order.
     plan, stree = _plan_and_tree()
-    task_children = [list(c) for c in plan.task_children]
-    tp = next(i for i in range(plan.ntasks) if task_children[i])
-    task_children[tp].pop(0)
-    return _certify(dataclasses.replace(plan, task_children=task_children), stree)
+    parent = next(st for st in plan.steps if st.children)
+    node_level = plan.node_level.copy()
+    node_level[parent.children[0]] = node_level[parent.s] + 1
+    return _certify(dataclasses.replace(plan, node_level=node_level), stree)
 
 
 def _plan_scatter_overlap() -> Report:
@@ -306,10 +308,10 @@ def known_bad_cases() -> list[BadCase]:
             _cyclic_graph,
         ),
         BadCase(
-            "plan-dropped-dependency",
-            "a task's dependency count misses one child — premature start race",
-            frozenset({"schedule-dep-count", "schedule-race"}),
-            _plan_dropped_dependency,
+            "program-child-above-parent",
+            "a child lifted above its parent's level — read-before-write race",
+            frozenset({"schedule-program-level", "schedule-stale-read"}),
+            _program_child_above_parent,
         ),
         BadCase(
             "plan-scatter-overlap",

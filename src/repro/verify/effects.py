@@ -1,15 +1,16 @@
-"""Read/write effect summaries for execution-plan tasks.
+"""Read/write effect summaries for execution-plan supernodes.
 
-The shared-memory engine (:mod:`repro.exec.engine`) runs an
-:class:`~repro.exec.plan.ExecPlan` by dependency counting; its
-correctness argument is that no two concurrent tasks ever touch the same
-memory.  This module makes that argument checkable: it derives, purely
-from the plan's column ranges and scatter indices, exactly which
-locations every task reads and writes in each sweep.
+The fused backend (:mod:`repro.exec.fused`) runs an
+:class:`~repro.exec.plan.ExecPlan` as a chain of elimination-tree
+levels; its correctness argument is that the level barriers order every
+access that two supernodes share.  This module makes that argument
+checkable: it derives, purely from the plan's column ranges and scatter
+indices, exactly which locations every supernode reads and writes in
+each sweep, tagged with the level the node runs in.
 
-Three address spaces cover everything the engine's hot loops touch (the
-right-hand-side *column* dimension is never split across tasks — every
-access spans all ``nrhs`` columns — so row indices alone discriminate):
+Three address spaces cover everything a sweep touches (the
+right-hand-side *column* dimension is never split — every access spans
+all ``nrhs`` columns — so row indices alone discriminate):
 
 ``("x",)``
     The shared solution block, indexed by global row ``0..n-1``.  The
@@ -17,8 +18,8 @@ access spans all ``nrhs`` columns — so row indices alone discriminate):
     the backward sweep additionally reads the ancestor rows ``below``.
 ``("contrib", c)``
     Supernode ``c``'s contribution buffer, indexed by the *global* rows
-    it updates (``c``'s below-rows).  Written once by the task running
-    ``c``, read once by the task running ``c``'s parent (the scatter).
+    it updates (``c``'s below-rows).  Written once by ``c``, read once
+    by ``c``'s parent (the scatter).
 ``("acc", s)``
     Supernode ``s``'s local accumulator, indexed by local trapezoid row.
     Private to the node by construction — it appears in summaries so
@@ -26,7 +27,7 @@ access spans all ``nrhs`` columns — so row indices alone discriminate):
 
 :func:`effect_conflicts` then reports every pair of effects from
 *different* supernodes that overlaps on a space with at least one write
-— the exact pair set the happens-before check in
+— the exact pair set the level-order check in
 :mod:`repro.verify.schedule` must prove ordered.
 """
 
@@ -63,13 +64,13 @@ def acc_space(node: int) -> tuple:
 class Effect:
     """One read or write of one index set in one address space.
 
-    ``task`` is the executing task, ``node`` the supernode whose step
-    performs the access, ``rows`` the affected indices (global rows for
-    ``x``/``contrib`` spaces, local trapezoid rows for ``acc``).  The
-    summaries built here list them ascending.
+    ``level`` is the elimination-tree level the access runs in, ``node``
+    the supernode whose step performs the access, ``rows`` the affected
+    indices (global rows for ``x``/``contrib`` spaces, local trapezoid
+    rows for ``acc``).  The summaries built here list them ascending.
     """
 
-    task: int
+    level: int
     node: int
     phase: str
     mode: str
@@ -80,7 +81,7 @@ class Effect:
         space = self.space[0] if self.space == X_SPACE else f"{self.space[0]}[{self.space[1]}]"
         return (
             f"{self.mode} of {space} rows {format_index_set(self.rows)} "
-            f"by supernode {self.node} (task {self.task})"
+            f"by supernode {self.node} (level {self.level})"
         )
 
 
@@ -89,71 +90,50 @@ def _cols(lo: int, hi: int) -> np.ndarray:
 
 
 def forward_effects(plan: "ExecPlan") -> list[Effect]:
-    """Effect summary of the forward sweep (``L y = b``), task by task.
+    """Effect summary of the forward sweep (``L y = b``), node by node.
 
-    Mirrors ``repro.exec.engine._forward_mat`` exactly: each node reads
-    its own slice of ``y`` and every child's contribution buffer,
-    scatters into its private accumulator, writes its own ``y`` slice
-    back, and (when it has below-rows) writes its own contribution
-    buffer.  The consumer's ``contrib[c] = None`` release is not
-    modelled — it is covered by the read it follows.
+    Each node reads its own slice of ``y`` and every child's
+    contribution buffer, scatters into its private accumulator, writes
+    its own ``y`` slice back, and (when it has below-rows) writes its own
+    contribution buffer.
     """
     out: list[Effect] = []
-    for ti, task in enumerate(plan.tasks):
-        for s in task.nodes:
-            st = plan.steps[s]
-            if st.t:
-                cols = _cols(st.col_lo, st.col_hi)
-                out.append(Effect(ti, s, FORWARD, READ, X_SPACE, cols))
-                out.append(Effect(ti, s, FORWARD, WRITE, X_SPACE, cols))
-            for c, idx in zip(st.children, st.child_scatter):
-                out.append(
-                    Effect(ti, s, FORWARD, READ, contrib_space(c), plan.steps[c].below)
-                )
-                out.append(Effect(ti, s, FORWARD, WRITE, acc_space(s), np.sort(idx)))
-            if st.n > st.t:
-                out.append(Effect(ti, s, FORWARD, WRITE, contrib_space(s), st.below))
+    level = np.asarray(plan.node_level).tolist()
+    for st in plan.steps:
+        s, lv = st.s, level[st.s]
+        if st.t:
+            cols = _cols(st.col_lo, st.col_hi)
+            out.append(Effect(lv, s, FORWARD, READ, X_SPACE, cols))
+            out.append(Effect(lv, s, FORWARD, WRITE, X_SPACE, cols))
+        for c, idx in zip(st.children, st.child_scatter):
+            out.append(
+                Effect(lv, s, FORWARD, READ, contrib_space(c), plan.steps[c].below)
+            )
+            out.append(Effect(lv, s, FORWARD, WRITE, acc_space(s), np.sort(idx)))
+        if st.n > st.t:
+            out.append(Effect(lv, s, FORWARD, WRITE, contrib_space(s), st.below))
     return out
 
 
 def backward_effects(plan: "ExecPlan") -> list[Effect]:
-    """Effect summary of the backward sweep (``L^T x = y``), task by task.
+    """Effect summary of the backward sweep (``L^T x = y``), node by node.
 
-    Mirrors ``repro.exec.engine._backward_mat``: each node gathers the
-    already-solved ancestor rows ``x[below]``, then solves and writes its
-    own column range.  No contribution buffers exist in this sweep.
+    Each node gathers the already-solved ancestor rows ``x[below]``,
+    then solves and writes its own column range.  No contribution
+    buffers exist in this sweep.
     """
     out: list[Effect] = []
-    for ti, task in enumerate(plan.tasks):
-        for s in task.nodes:
-            st = plan.steps[s]
-            if not st.t:
-                continue
-            cols = _cols(st.col_lo, st.col_hi)
-            if st.n > st.t:
-                out.append(Effect(ti, s, BACKWARD, READ, X_SPACE, st.below))
-            out.append(Effect(ti, s, BACKWARD, READ, X_SPACE, cols))
-            out.append(Effect(ti, s, BACKWARD, WRITE, X_SPACE, cols))
+    level = np.asarray(plan.node_level).tolist()
+    for st in plan.steps:
+        if not st.t:
+            continue
+        s, lv = st.s, level[st.s]
+        cols = _cols(st.col_lo, st.col_hi)
+        if st.n > st.t:
+            out.append(Effect(lv, s, BACKWARD, READ, X_SPACE, st.below))
+        out.append(Effect(lv, s, BACKWARD, READ, X_SPACE, cols))
+        out.append(Effect(lv, s, BACKWARD, WRITE, X_SPACE, cols))
     return out
-
-
-def level_effects(effects: list[Effect], node_level: np.ndarray) -> list[Effect]:
-    """Re-task an effect summary onto a level schedule.
-
-    The fused backend (:mod:`repro.exec.fused`) executes one
-    elimination-tree level per step, so its scheduling unit is the level,
-    not the plan task.  Each node still performs exactly the accesses the
-    plan summaries describe — the level program is a re-*layout* of the
-    same schedule, not a different algorithm — so the fused summary is
-    the plan summary with ``task`` replaced by the node's level.  The
-    certifier crosses these against the level chain's happens-before
-    (level ``i`` completes before level ``i + 1`` starts).
-    """
-    level = np.asarray(node_level).tolist()
-    return [
-        Effect(level[e.node], e.node, e.phase, e.mode, e.space, e.rows)
-        for e in effects
-    ]
 
 
 def effect_conflicts(
@@ -166,7 +146,7 @@ def effect_conflicts(
     one of them is a write.  Pairs within one supernode are excluded:
     a node's own read-then-write sequence (and the legitimate ``+=``
     scatter reduction into its accumulator) is sequential by
-    construction.  Same-*task* pairs across different nodes are
+    construction.  Same-*level* pairs across different nodes are
     included — the schedule checker validates their program order.
 
     Returns ``(a, b, overlap)`` triples grouped by space in order of
@@ -271,5 +251,4 @@ __all__ = [
     "effect_conflicts",
     "format_index_set",
     "forward_effects",
-    "level_effects",
 ]

@@ -6,9 +6,9 @@ source file under ``src/repro``, checks the structural invariants of a
 small deterministic workload battery end to end (ordering -> symbolic ->
 mapping -> layouts), statically verifies the communication structure
 of the repo's real SPMD forward/backward solver programs, and certifies
-the shared-memory execution plans of a 2-D/3-D grid battery for
-race-freedom, exactly-once coverage and reduction-order determinism —
-all without running the simulator or the thread pool.
+the fused level programs of a 2-D/3-D grid battery for race-freedom,
+exactly-once coverage and reduction-order determinism — all without
+running the simulator or a solve.
 ``run_bad_corpus`` is the negative gate: it must find errors in every
 seeded known-bad input, proving the checkers still catch what they were
 built to catch.
@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exec.plan import DEFAULT_GRAIN
 from repro.sparse.generators import fe_mesh_2d, grid2d_laplacian, grid3d_laplacian
 from repro.verify.comm import lint_spmd
 from repro.verify.corpus import known_bad_cases
@@ -118,92 +117,49 @@ def run_solver_comm_lint(*, p: int = 4, b: int = 4) -> Report:
     return report
 
 
-#: The standard schedule-certification battery: (label, builder, sizes).
-#: Grains span "one task per supernode" (0) through heavy aggregation;
-#: nrhs ∈ {1, 4} exercises the certifier's claim that effect summaries
-#: are independent of the right-hand-side width.
-SCHEDULE_BATTERY_GRAINS = (0, 256, 4096)
-SCHEDULE_BATTERY_NRHS = (1, 4)
-
-#: The battery's matrices: ``(label, generator, size, grains)``.  The
-#: n = 9216 grid runs at the default grain only; it keeps the near-linear
-#: certifier honest at a size where a pairwise search takes minutes.
+#: The schedule-certification battery: ``(label, generator, size)``.
+#: The n = 9216 grid keeps the near-linear certifier honest at a size
+#: where a pairwise search takes minutes.
 SCHEDULE_BATTERY = (
-    ("grid2d(8)", grid2d_laplacian, 8, SCHEDULE_BATTERY_GRAINS),
-    ("grid2d(12)", grid2d_laplacian, 12, SCHEDULE_BATTERY_GRAINS),
-    ("grid3d(4)", grid3d_laplacian, 4, SCHEDULE_BATTERY_GRAINS),
-    ("grid2d(96)", grid2d_laplacian, 96, (DEFAULT_GRAIN,)),
+    ("grid2d(8)", grid2d_laplacian, 8),
+    ("grid2d(12)", grid2d_laplacian, 12),
+    ("grid3d(4)", grid3d_laplacian, 4),
+    ("grid2d(96)", grid2d_laplacian, 96),
 )
 
 
 def run_schedule_certification() -> Report:
-    """Certify the execution plans of the standard workload battery.
+    """Certify the fused level programs of the standard workload battery.
 
-    For every (matrix, grain) the plan must certify clean — no races, no
-    coverage violation, canonical reduction order — and its determinism
-    certificate must be byte-identical across ``nrhs`` values and across
-    an independent rebuild of the same plan (``schedule-cert-unstable``
-    otherwise).  This is the static counterpart of the runtime test that
-    solves are bitwise identical across worker counts.
-
-    The fused backend's :class:`~repro.exec.plan.LevelProgram` compiled
-    from each plan must certify clean too
-    (:func:`~repro.verify.schedule.certify_level_program`), and its
-    certificate digest must equal the plan's — one structure, one
-    determinism certificate, for every backend and every grain
-    (``schedule-cert-divergent`` otherwise).
+    For every matrix the program must certify clean — no races, no
+    coverage violation, canonical reduction order, a faithful
+    compilation — and its determinism certificate must be byte-identical
+    across an independent rebuild of the same plan and program
+    (``schedule-cert-unstable`` otherwise): the digest is a pure
+    function of the structure.
     """
     from repro.exec.plan import build_plan, compile_level_program
     from repro.symbolic.analyze import analyze
-    from repro.verify.schedule import certify_level_program, certify_plan
+    from repro.verify.schedule import certify_level_program, plan_digest
 
     report = Report()
-    for name, generator, size, grains in SCHEDULE_BATTERY:
+    for name, generator, size in SCHEDULE_BATTERY:
         sym = analyze(generator(size))
-        for grain in grains:
-            label = f"{name} grain={grain}"
-            plan = build_plan(sym.stree, grain=grain)
-            digests = set()
-            for nrhs in SCHEDULE_BATTERY_NRHS:
-                cert = certify_plan(plan, sym.stree, nrhs=nrhs, name=label)
-                digests.add(cert.digest)
-                for f in cert.report:
-                    report.add(
-                        f.rule,
-                        f"[schedule nrhs={nrhs}] {f.message}",
-                        location=f.location,
-                        severity=f.severity,
-                    )
-            rebuilt = certify_plan(
-                build_plan(sym.stree, grain=grain), sym.stree, name=label
+        plan = build_plan(sym.stree)
+        cert = certify_level_program(
+            compile_level_program(plan), plan, sym.stree, name=name
+        )
+        for f in cert.report:
+            report.add(f.rule, f.message, location=f.location, severity=f.severity)
+        rebuilt = plan_digest(build_plan(sym.stree))
+        if rebuilt != cert.digest:
+            report.add(
+                "schedule-cert-unstable",
+                f"{name}: determinism certificate differs across plan rebuilds "
+                f"({cert.digest} vs {rebuilt}) — the hash is not a pure "
+                "function of the structure",
+                location=name,
             )
-            digests.add(rebuilt.digest)
-            if len(digests) != 1:
-                report.add(
-                    "schedule-cert-unstable",
-                    f"{label}: determinism certificate differs across nrhs or "
-                    f"across plan rebuilds ({sorted(digests)}) — the hash is "
-                    "not a pure function of the structure",
-                    location=label,
-                )
-            fused = certify_level_program(
-                compile_level_program(plan), plan, sym.stree, name=label
-            )
-            for f in fused.report:
-                report.add(
-                    f.rule,
-                    f"[fused] {f.message}",
-                    location=f.location,
-                    severity=f.severity,
-                )
-            if fused.digest not in digests:
-                report.add(
-                    "schedule-cert-divergent",
-                    f"{label}: the fused level program's certificate digest "
-                    "differs from its plan's — the program is not a certified "
-                    "re-layout of the schedule",
-                    location=label,
-                )
     return report
 
 

@@ -1,40 +1,33 @@
-"""Static schedule certifier for the shared-memory execution plans.
+"""Static schedule certifier for the fused level program.
 
-:func:`certify_plan` takes an :class:`~repro.exec.plan.ExecPlan` (and
-optionally the :class:`~repro.symbolic.stree.SupernodalTree` it was
-built from) and *proves*, without executing anything, the three
-properties the engine's docstrings promise:
+:func:`certify_level_program` takes a
+:class:`~repro.exec.plan.LevelProgram`, the
+:class:`~repro.exec.plan.ExecPlan` it was compiled from and (optionally)
+the :class:`~repro.symbolic.stree.SupernodalTree` behind both, and
+*proves*, without executing anything, the properties the fused
+backend's docstrings promise:
 
-1. **Race-freedom.**  The per-task read/write effect summaries of
-   :mod:`repro.verify.effects` are crossed against the happens-before
-   relation induced by the engine's dependency counting.  A dependency
-   edge ``i -> d`` is *guaranteed* only when task ``d``'s counter equals
-   its true in-degree — a smaller counter means ``d`` can start before
-   some predecessor finished, so none of its in-edges order anything.
-   Every conflicting effect pair (same space, overlapping rows, at least
-   one write, different supernodes) must be ordered by the transitive
-   closure of the guaranteed edges; read-after-write pairs must be
-   ordered *writer-first*.
-2. **Exactly-once coverage.**  The supernode column ranges tile
+1. **Exactly-once coverage.**  The supernode column ranges tile
    ``0..n`` with no overlap and no gap (every solution row is written by
    exactly one node per sweep), and each child contribution buffer is
    consumed by exactly one scatter whose indices map the child's
    below-rows bijectively into the parent's trapezoid.
-3. **Reduction-order determinism.**  Every node's child list ascends —
-   the fixed reduction order that makes results bitwise identical for
-   every worker count — and the certificate digest is a canonical hash
+2. **Reduction-order determinism.**  Every node's child list ascends —
+   the fixed reduction order that makes results bitwise identical to
+   the serial walker — and the certificate digest is a canonical hash
    over the steps, the ordered reduction lists, the scatter indices and
-   the task topology, so two runs (any worker counts) can be checked
-   for schedule equivalence by comparing two hex strings.
-
-:func:`certify_level_program` extends the proof to the fused backend's
-:class:`~repro.exec.plan.LevelProgram`: the program's flat index vectors
-(accumulator layout, width-1 lane, contribution scatter, backward
-gather) are decoded back against the plan's steps — rules prefixed
-``schedule-program-`` — and the plan's effect summaries, re-tasked onto
-the level chain, are crossed against the chain's happens-before.  A
-certified program earns its plan's digest: the fused and threaded
-backends provably execute the same schedule.
+   the node levels, so two runs can be checked for schedule
+   equivalence by comparing two hex strings.
+3. **Faithful compilation.**  The program's flat index vectors
+   (accumulator layout, width-1 lane, contribution scatter, backward
+   gather) are decoded back against the plan's steps — rules prefixed
+   ``schedule-program-``.
+4. **Race-freedom.**  The schedule is a chain of levels with a barrier
+   between neighbours: ascending forward, descending backward.  The
+   per-node read/write effect summaries of :mod:`repro.verify.effects`
+   carry each node's level, so every conflicting read/write pair is
+   checked directly: the writer's level must run first in the sweep's
+   direction.
 
 Findings use the shared :class:`~repro.verify.findings.Report`
 machinery; rules are prefixed ``schedule-``.
@@ -44,45 +37,43 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.verify.effects import (
+    FORWARD,
     READ,
     WRITE,
     Effect,
     backward_effects,
     effect_conflicts,
-    format_index_set,
     forward_effects,
-    level_effects,
 )
 from repro.verify.findings import Report
-from repro.util.validation import require
 
 if TYPE_CHECKING:
     from repro.exec.plan import ExecPlan, LevelProgram
     from repro.symbolic.stree import SupernodalTree
 
 #: Bumped whenever the canonical serialization behind the digest changes.
-CERT_SCHEMA = "repro-schedule-cert/1"
+CERT_SCHEMA = "repro-schedule-cert/2"
 
 
 @dataclass(frozen=True)
 class ScheduleCertificate:
-    """The certifier's verdict for one plan.
+    """The certifier's verdict for one level program.
 
     ``digest`` is the determinism certificate: equal digests mean equal
-    schedules (same steps, same reduction orders, same task topology),
-    hence bitwise-equal results regardless of worker count.  ``report``
-    carries every violated property; :attr:`ok` is True iff none.
+    schedules (same steps, same reduction orders, same levels), hence
+    bitwise-equal results.  ``report`` carries every violated property;
+    :attr:`ok` is True iff none.
     """
 
     digest: str
     report: Report
     nsuper: int
-    ntasks: int
+    nlevels: int
 
     @property
     def ok(self) -> bool:
@@ -94,17 +85,16 @@ def plan_digest(plan: "ExecPlan") -> str:
     """Canonical sha256 over the schedule-defining parts of *plan*.
 
     Covers: per-step column ranges, below-rows, ordered child
-    (reduction) lists and scatter indices; per-task node lists; and the
-    task parent topology.  Deliberately excludes the aggregation grain
-    and anything runtime-dependent (worker counts never enter), so the
-    digest is a pure function of the schedule's semantics.
+    (reduction) lists and scatter indices, and the per-node levels.
+    Nothing runtime-dependent enters, so the digest is a pure function
+    of the schedule's semantics.
     """
     h = hashlib.sha256(CERT_SCHEMA.encode())
 
     def put(values) -> None:
         h.update(np.ascontiguousarray(values, dtype=np.int64).tobytes())
 
-    put([len(plan.steps), len(plan.tasks)])
+    put([len(plan.steps)])
     for st in plan.steps:
         put([st.s, st.col_lo, st.col_hi, st.t, st.n, len(st.children)])
         put(st.below)
@@ -112,41 +102,11 @@ def plan_digest(plan: "ExecPlan") -> str:
         for idx in st.child_scatter:
             put([idx.size])
             put(idx)
-    for task in plan.tasks:
-        put([task.index, task.root, len(task.nodes)])
-        put(list(task.nodes))
-    put(plan.task_parent)
+    put(plan.node_level)
     return h.hexdigest()
 
 
 # ------------------------------------------------------- structural checks
-def _check_partition(plan: "ExecPlan", report: Report, name: str) -> None:
-    """Each supernode must belong to exactly one task, listed ascending."""
-    owner: dict[int, int] = {}
-    for ti, task in enumerate(plan.tasks):
-        if list(task.nodes) != sorted(task.nodes):
-            report.add(
-                "schedule-task-partition",
-                f"task {ti} lists nodes {list(task.nodes)} out of ascending order",
-                location=f"{name}/task {ti}",
-            )
-        for s in task.nodes:
-            if s in owner:
-                report.add(
-                    "schedule-task-partition",
-                    f"supernode {s} appears in tasks {owner[s]} and {ti}",
-                    location=f"{name}/task {ti}",
-                )
-            owner[s] = ti
-    missing = sorted(set(range(len(plan.steps))) - set(owner))
-    if missing:
-        report.add(
-            "schedule-task-partition",
-            f"supernodes {missing} belong to no task — they would never run",
-            location=f"{name}/tasks",
-        )
-
-
 def _check_coverage(plan: "ExecPlan", report: Report, name: str, n: int) -> None:
     """The column ranges must tile ``[0, n)`` with no overlap and no gap."""
     ranges = sorted(
@@ -308,200 +268,45 @@ def _check_tree(plan: "ExecPlan", stree: "SupernodalTree", report: Report, name:
             )
 
 
-# ------------------------------------------------------ happens-before
-def _guaranteed_reachability(
-    ntasks: int,
-    ndeps: Sequence[int],
-    dependents: Sequence[Sequence[int]],
-    report: Report,
-    name: str,
-    phase: str,
-) -> np.ndarray | None:
-    """Transitive closure of the *guaranteed* dependency edges.
-
-    The engine starts task ``d`` when its counter — initialized to
-    ``ndeps[d]`` — reaches zero.  An edge ``i -> d`` therefore orders
-    ``i`` before ``d`` only if the counter equals the true in-degree;
-    a smaller counter lets ``d`` fire after a proper subset of its
-    predecessors, so *no* in-edge is guaranteed, and a larger one means
-    ``d`` (and everything after it) never runs.  Returns the boolean
-    reachability matrix, or ``None`` when the guaranteed edges contain a
-    cycle (reported; race analysis is skipped — nothing would run).
-    """
-    loc = f"{name}/{phase}"
-    in_deg = [0] * ntasks
-    for i in range(ntasks):
-        for d in dependents[i]:
-            in_deg[d] += 1
-    guaranteed = [True] * ntasks
-    for d in range(ntasks):
-        if ndeps[d] == in_deg[d]:
-            continue
-        guaranteed[d] = False
-        if ndeps[d] > in_deg[d]:
-            report.add(
-                "schedule-dep-count",
-                f"[{phase}] task {d} waits for {ndeps[d]} predecessors but "
-                f"only {in_deg[d]} tasks signal it — it would stall forever",
-                location=loc,
-            )
-        else:
-            report.add(
-                "schedule-dep-count",
-                f"[{phase}] task {d} waits for only {ndeps[d]} of its "
-                f"{in_deg[d]} predecessors — it can start before the rest "
-                "finish, so none of its dependency edges order anything",
-                location=loc,
-            )
-
-    # Kahn order over every edge (guaranteed or not) to detect cycles and
-    # to get a topological sequence for closure propagation.
-    counts = list(in_deg)
-    order = [i for i in range(ntasks) if counts[i] == 0]
-    head = 0
-    while head < len(order):
-        i = order[head]
-        head += 1
-        for d in dependents[i]:
-            counts[d] -= 1
-            if counts[d] == 0:
-                order.append(d)
-    if len(order) != ntasks:
-        stuck = sorted(set(range(ntasks)) - set(order))
-        report.add(
-            "schedule-cycle",
-            f"[{phase}] tasks {stuck} form a dependency cycle — the engine "
-            "would stall before running them",
-            location=loc,
-        )
-        return None
-
-    reach = np.zeros((ntasks, ntasks), dtype=bool)
-    np.fill_diagonal(reach, True)
-    for i in reversed(order):
-        for d in dependents[i]:
-            if guaranteed[d]:
-                reach[i] |= reach[d]
-    return reach
-
-
-def _check_phase_races(
-    phase: str,
-    ntasks: int,
-    pos: dict[int, int],
-    effects: list[Effect],
-    ndeps: Sequence[int],
-    dependents: Sequence[Sequence[int]],
-    report: Report,
-    name: str,
+# ------------------------------------------------------------ level order
+def _check_level_races(
+    phase: str, effects: list[Effect], report: Report, name: str
 ) -> None:
-    """Prove every conflicting effect pair of one sweep is ordered.
+    """Prove the level chain orders every conflicting pair of one sweep.
 
-    ``pos`` gives each node's program order *inside* its task (used for
-    the within-task stale-read direction check); cross-task ordering
-    comes from the guaranteed dependency edges alone.
+    The forward sweep runs levels ascending, the backward sweep
+    descending, with a barrier between neighbours.  Write-write pairs
+    need no check: on distinct levels the barrier orders them, and a
+    node's own writes are excluded by
+    :func:`~repro.verify.effects.effect_conflicts`.  A read-after-write
+    pair is sound only writer-first: the writer's level must run before
+    the reader's.  Nodes of a valid program never conflict within a
+    level (columns are disjoint, and ``schedule-program-level`` keeps
+    ancestors strictly higher), so ascending node id stands in for the
+    program order there: a same-level reader that precedes its writer is
+    flagged too.
     """
-    reach = _guaranteed_reachability(ntasks, ndeps, dependents, report, name, phase)
-    if reach is None:
-        return
-
     loc = f"{name}/{phase}"
-    for a, b, overlap in effect_conflicts(effects):
-        if a.task == b.task:
-            # Sequential within one worker; only the read-after-write
-            # direction can still be wrong.
-            if {a.mode, b.mode} == {READ, WRITE}:
-                w, r = (a, b) if a.mode == WRITE else (b, a)
-                if pos.get(w.node, 0) > pos.get(r.node, 0):
-                    report.add(
-                        "schedule-stale-read",
-                        f"[{phase}] within task {a.task}: {r.describe()} runs "
-                        f"before {w.describe()} — it reads stale values",
-                        location=loc,
-                    )
+    direction = 1 if phase == FORWARD else -1
+    for a, b, _ in effect_conflicts(effects):
+        if {a.mode, b.mode} != {READ, WRITE}:
             continue
-        a_before_b = bool(reach[a.task, b.task])
-        b_before_a = bool(reach[b.task, a.task])
-        if not a_before_b and not b_before_a:
-            report.add(
-                "schedule-race",
-                f"[{phase}] tasks {a.task} and {b.task} are unordered but "
-                f"conflict on rows {format_index_set(overlap)}: "
-                f"{a.describe()} vs {b.describe()}",
-                location=loc,
-            )
-        elif {a.mode, b.mode} == {READ, WRITE}:
-            w, r = (a, b) if a.mode == WRITE else (b, a)
-            if reach[r.task, w.task]:
+        w, r = (a, b) if a.mode == WRITE else (b, a)
+        if w.level == r.level:
+            if w.node > r.node:
                 report.add(
                     "schedule-stale-read",
-                    f"[{phase}] task {r.task} is ordered *before* task "
-                    f"{w.task} yet {r.describe()} depends on {w.describe()}",
+                    f"[{phase}] within level {w.level}: {r.describe()} runs "
+                    f"before {w.describe()} — it reads stale values",
                     location=loc,
                 )
-
-
-# ------------------------------------------------------------------ public
-def certify_plan(
-    plan: "ExecPlan",
-    stree: "SupernodalTree | None" = None,
-    *,
-    nrhs: int = 1,
-    name: str = "plan",
-) -> ScheduleCertificate:
-    """Statically certify one execution plan; never raises on bad plans.
-
-    Runs every structural proof (task partition, exactly-once column
-    coverage, scatter bijectivity, canonical reduction order, optional
-    assembly-tree cross-check) and the happens-before race analysis for
-    both sweeps, then computes the determinism digest.  ``nrhs`` is the
-    right-hand-side width the plan will be run with; every task accesses
-    all columns of the block, so the effect summaries — and therefore
-    the findings and the digest — are provably identical for every
-    ``nrhs >= 1`` (the parameter exists so callers can certify the exact
-    workload they run).
-
-    Callers that want fail-fast semantics use
-    ``certify_plan(...).report.raise_if_errors()``.
-    """
-    require(nrhs >= 1, f"nrhs must be >= 1, got {nrhs!r}")
-    report = Report()
-    n = stree.n if stree is not None else max(
-        (st.col_hi for st in plan.steps), default=0
-    )
-    _check_partition(plan, report, name)
-    _check_coverage(plan, report, name, n)
-    _check_scatters(plan, report, name)
-    _check_reduction_order(plan, report, name)
-    if stree is not None:
-        _check_tree(plan, stree, report, name)
-
-    # Program order inside a task: the forward sweep walks nodes
-    # ascending, the backward sweep descending.
-    fwd_pos: dict[int, int] = {}
-    bwd_pos: dict[int, int] = {}
-    for task in plan.tasks:
-        for k, s in enumerate(task.nodes):
-            fwd_pos[s] = k
-        for k, s in enumerate(reversed(task.nodes)):
-            bwd_pos[s] = k
-
-    fwd_ndeps, fwd_dependents = plan.forward_deps()
-    _check_phase_races(
-        "forward", plan.ntasks, fwd_pos, forward_effects(plan),
-        fwd_ndeps, fwd_dependents, report, name,
-    )
-    bwd_ndeps, bwd_dependents = plan.backward_deps()
-    _check_phase_races(
-        "backward", plan.ntasks, bwd_pos, backward_effects(plan),
-        bwd_ndeps, bwd_dependents, report, name,
-    )
-    return ScheduleCertificate(
-        digest=plan_digest(plan),
-        report=report,
-        nsuper=len(plan.steps),
-        ntasks=plan.ntasks,
-    )
+        elif direction * (r.level - w.level) < 0:
+            report.add(
+                "schedule-stale-read",
+                f"[{phase}] level {r.level} runs before level {w.level} yet "
+                f"{r.describe()} depends on {w.describe()}",
+                location=loc,
+            )
 
 
 # ------------------------------------------------------- level programs
@@ -904,6 +709,7 @@ def _check_program_structure(
             )
 
 
+# ------------------------------------------------------------------ public
 def certify_level_program(
     program: "LevelProgram",
     plan: "ExecPlan",
@@ -911,59 +717,36 @@ def certify_level_program(
     *,
     name: str = "fused",
 ) -> ScheduleCertificate:
-    """Statically certify a fused level program against its plan.
+    """Statically certify a fused level program; never raises on bad input.
 
-    Extends :func:`certify_plan` in three moves: first the plan itself is
-    certified (a faithful compilation of a broken plan is still broken);
-    then the program's flat layout, lane, scatter and gather vectors are
-    decoded back against the plan's steps (rules ``schedule-program-*``);
-    finally the plan's per-node effect summaries are re-tasked onto the
-    level chain (:func:`repro.verify.effects.level_effects`) and crossed
-    against the chain's happens-before — level ``i`` before ``i + 1``
-    forward, reversed backward — proving the level barriers order every
-    conflicting access.
+    Runs every structural proof over the plan (exactly-once column
+    coverage, scatter bijectivity, canonical reduction order, optional
+    assembly-tree cross-check), decodes the program's flat layout, lane,
+    scatter and gather vectors back against the plan's steps (rules
+    ``schedule-program-*``), and checks both sweeps' read/write effects
+    against the level order.  Every access spans all right-hand-side
+    columns, so the findings and the digest hold for every NRHS.
 
-    The certificate's ``digest`` is the *plan's* canonical digest: a
-    certified program is proven to be a re-layout of exactly that
-    schedule, so the fused backend earns the identical determinism
-    certificate the threaded backend carries, for every worker count.
+    Callers that want fail-fast semantics use
+    ``certify_level_program(...).report.raise_if_errors()``.
     """
-    base = certify_plan(plan, stree, name=name)
     report = Report()
-    report.extend(base.report)
+    n = stree.n if stree is not None else max(
+        (st.col_hi for st in plan.steps), default=0
+    )
+    _check_coverage(plan, report, name, n)
+    _check_scatters(plan, report, name)
+    _check_reduction_order(plan, report, name)
+    if stree is not None:
+        _check_tree(plan, stree, report, name)
     _check_program_structure(program, plan, report, name)
-
-    nlev = len(program.levels)
-    ndeps = [0 if i == 0 else 1 for i in range(nlev)]
-    dependents = [[i + 1] if i + 1 < nlev else [] for i in range(nlev)]
-    # Within a level, nodes of a valid program never conflict (columns
-    # are disjoint, ancestors sit strictly higher); same-level hand-offs
-    # are already rejected by schedule-program-level above, so ascending
-    # node order stands in for the within-level program order.
-    pos: dict[int, int] = {}
-    counters: dict[int, int] = {}
-    for s in range(program.nsuper):
-        li = int(program.node_level[s])
-        pos[s] = counters.get(li, 0)
-        counters[li] = pos[s] + 1
-
-    _check_phase_races(
-        "forward", nlev, pos,
-        level_effects(forward_effects(plan), program.node_level),
-        ndeps, dependents, report, name,
-    )
-    bwd_ndeps = [0 if i == nlev - 1 else 1 for i in range(nlev)]
-    bwd_dependents = [[i - 1] if i > 0 else [] for i in range(nlev)]
-    _check_phase_races(
-        "backward", nlev, pos,
-        level_effects(backward_effects(plan), program.node_level),
-        bwd_ndeps, bwd_dependents, report, name,
-    )
+    _check_level_races("forward", forward_effects(plan), report, name)
+    _check_level_races("backward", backward_effects(plan), report, name)
     return ScheduleCertificate(
-        digest=base.digest,
+        digest=plan_digest(plan),
         report=report,
         nsuper=program.nsuper,
-        ntasks=nlev,
+        nlevels=program.nlevels,
     )
 
 
@@ -971,6 +754,5 @@ __all__ = [
     "CERT_SCHEMA",
     "ScheduleCertificate",
     "certify_level_program",
-    "certify_plan",
     "plan_digest",
 ]

@@ -36,14 +36,12 @@ class TestCommands:
         ) == 0
         assert "FBsolve" in capsys.readouterr().out
 
-    def test_solve_threads_backend(self, capsys):
-        assert main(
-            ["solve", "--matrix", "grid2d", "--size", "10", "--p", "4",
-             "--nrhs", "4", "--backend", "threads", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "backend=threads workers=2" in out
-        assert "wall-clock" in out and "residual" in out
+    def test_solve_threads_backend(self):
+        # Neither the solve nor the serving demo accepts a threads backend.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--backend", "threads"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-demo", "--backend", "threads"])
 
     def test_solve_serial_backend(self, capsys):
         assert main(
@@ -59,7 +57,8 @@ class TestCommands:
              "--nrhs", "4", "--backend", "fused"]
         ) == 0
         out = capsys.readouterr().out
-        assert "backend=fused" in out and "wall-clock" in out
+        assert "backend=fused levels=" in out and "supernodes=" in out
+        assert "wall-clock" in out
         # verify=True is the solver default, so the fused solve must
         # carry the determinism certificate of its certified program.
         assert "schedule certificate:" in out
@@ -69,9 +68,9 @@ class TestCommands:
             build_parser().parse_args(["solve", "--backend", "gpu"])
 
     def test_solve_invalid_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            main(["solve", "--matrix", "grid2d", "--size", "8", "--p", "2",
-                  "--backend", "threads", "--workers", "0"])
+        # No backend takes a worker count, so --workers is not an option.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--backend", "fused", "--workers", "2"])
 
     def test_schedules(self, capsys):
         assert main(["schedules", "--nb", "5", "--tb", "3", "--q", "2"]) == 0

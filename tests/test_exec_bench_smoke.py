@@ -3,8 +3,8 @@
 CI runs ``bench_exec_backend.py --quick --guard`` and uploads
 ``BENCH_exec.json`` as an artifact; this smoke test runs the same command
 end to end in a temp directory and validates the payload against the
-documented schema (required per-record keys: backend, n, nrhs, workers,
-seconds, mflops, and the per-phase seconds under ``phases``).
+documented schema (required per-record keys: backend, n, nrhs, seconds,
+mflops, and the per-phase seconds under ``phases``).
 """
 
 import json
@@ -53,14 +53,13 @@ class TestBenchSmoke:
     def test_required_record_keys(self, quick_payload):
         payload, _ = quick_payload
         for rec in payload["results"]:
-            for key in ("backend", "n", "nrhs", "workers", "seconds", "mflops",
-                        "phases"):
+            for key in ("backend", "n", "nrhs", "seconds", "mflops", "phases"):
                 assert key in rec
 
     def test_all_backends_and_nrhs_covered(self, quick_payload):
         payload, _ = quick_payload
         backends = {rec["backend"] for rec in payload["results"]}
-        assert backends == {"serial", "threads", "fused", "scipy"}
+        assert backends == {"serial", "fused", "scipy"}
         assert {rec["nrhs"] for rec in payload["results"]} == {1, 4, 16}
 
     def test_phase_timings_present_and_consistent(self, quick_payload):
@@ -70,21 +69,19 @@ class TestBenchSmoke:
             assert set(phases) == {"plan", "prepare", "forward", "backward"}
             assert all(v >= 0 for v in phases.values())
             assert phases["forward"] > 0 and phases["backward"] > 0
-            if rec["backend"] in ("threads", "fused"):
-                # Real backends compile a plan / program once per structure.
+            if rec["backend"] == "fused":
+                # The fused backend compiles a plan / program once per structure.
                 assert phases["plan"] > 0 and phases["prepare"] > 0
 
     def test_meta_records_worker_policy(self, quick_payload):
+        # Every backend runs on one worker with BLAS pinned to one thread;
+        # the machine's core count is recorded next to the numbers.
         payload, _ = quick_payload
         meta = payload["meta"]
-        assert meta["default_workers"] >= 1
-        assert isinstance(meta["skipped_workers"], list)
-        ncpu = meta["cpu_count"]
-        for rec in payload["results"]:
-            if rec["backend"] == "threads":
-                assert rec["workers"] <= ncpu, (
-                    "an oversubscribing worker count was benchmarked"
-                )
+        assert meta["cpu_count"] >= 1
+        assert meta["blas_threads"] == "1"
+        assert not any("workers" in key for key in meta)
+        assert all("workers" not in rec for rec in payload["results"])
 
     def test_guard_passes_in_quick_mode(self, quick_payload):
         _, stdout = quick_payload
@@ -100,10 +97,9 @@ class TestBenchSmoke:
         bench = _load_bench_module()
         assert bench.validate_payload({"schema": "nope", "results": []})
         good_rec = {
-            "backend": "threads",
+            "backend": "fused",
             "n": 10,
             "nrhs": 1,
-            "workers": 2,
             "seconds": 0.1,
             "mflops": 1.0,
             "phases": {"plan": 0.01, "prepare": 0.01,
@@ -111,9 +107,13 @@ class TestBenchSmoke:
         }
         good = {"schema": bench.SCHEMA, "results": [good_rec]}
         assert bench.validate_payload(good) == []
-        bad = {"schema": bench.SCHEMA, "results": [{"backend": "threads"}]}
+        bad = {"schema": bench.SCHEMA, "results": [{"backend": "fused"}]}
         errors = bench.validate_payload(bad)
         assert errors and "missing keys" in errors[0]
+        threads = {"schema": bench.SCHEMA,
+                   "results": [{**good_rec, "backend": "threads"}]}
+        errors = bench.validate_payload(threads)
+        assert errors and "unknown backend" in errors[0]
         no_phase = {"schema": bench.SCHEMA,
                     "results": [{**good_rec, "phases": {"plan": 0.01}}]}
         errors = bench.validate_payload(no_phase)
@@ -124,9 +124,9 @@ class TestBenchSmoke:
         phases = {"plan": 0.0, "prepare": 0.0, "forward": 0.1, "backward": 0.1}
         results = [
             {"matrix": "grid3d(5)", "backend": "serial", "n": 125, "nrhs": 1,
-             "workers": 1, "seconds": 0.01, "mflops": 1.0, "phases": phases},
+             "seconds": 0.01, "mflops": 1.0, "phases": phases},
             {"matrix": "grid3d(5)", "backend": "fused", "n": 125, "nrhs": 1,
-             "workers": 1, "seconds": 0.1, "mflops": 1.0, "phases": phases},
+             "seconds": 0.1, "mflops": 1.0, "phases": phases},
         ]
         assert bench.check_guard(results)
         results[1]["seconds"] = 0.005

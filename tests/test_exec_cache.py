@@ -1,5 +1,5 @@
 """Eviction behaviour of the weakref-keyed exec caches (plans, factors,
-certificates)."""
+programs, certificates)."""
 
 from __future__ import annotations
 
@@ -8,11 +8,12 @@ import gc
 import pytest
 
 from repro.exec import (
-    certificate_for,
     clear_exec_caches,
     exec_cache_stats,
+    fused_certificate_for,
     plan_for,
     prepare_factor,
+    program_for,
 )
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.sparse.generators import grid2d_laplacian
@@ -28,7 +29,7 @@ def fresh_caches():
 
 def _counts():
     stats = exec_cache_stats()
-    return stats["plan_entries"], stats["factor_entries"], stats["cert_entries"]
+    return stats["plan_entries"], stats["factor_entries"], stats["fused_cert_entries"]
 
 
 def test_plan_cache_releases_when_structure_dies():
@@ -41,7 +42,7 @@ def test_plan_cache_releases_when_structure_dies():
     del sym
     gc.collect()
     assert _counts() == (0, 0, 0)
-    assert plan.ntasks > 0  # the evicted value stays usable for holders
+    assert len(plan.steps) > 0  # the evicted value stays usable for holders
 
 
 def test_prepared_factor_evicted_with_factor():
@@ -56,16 +57,16 @@ def test_prepared_factor_evicted_with_factor():
 
 def test_certificates_cached_alongside_plan_and_evicted_together():
     sym = analyze(grid2d_laplacian(6))
-    plan_for(sym.stree, certify=True)
+    program_for(sym.stree, certify=True)
     assert _counts() == (1, 0, 1)
 
     stats = exec_cache_stats()
-    assert stats["cert_misses"] == 1
-    plan_for(sym.stree, certify=True)
-    certificate_for(sym.stree)
+    assert stats["fused_cert_misses"] == 1
+    program_for(sym.stree, certify=True)
+    fused_certificate_for(sym.stree)
     stats = exec_cache_stats()
-    assert stats["cert_misses"] == 1  # memoized: the proof ran exactly once
-    assert stats["cert_hits"] >= 2
+    assert stats["fused_cert_misses"] == 1  # memoized: the proof ran exactly once
+    assert stats["fused_cert_hits"] >= 2
 
     del sym
     gc.collect()
@@ -75,19 +76,12 @@ def test_certificates_cached_alongside_plan_and_evicted_together():
 def test_uncertified_plan_does_not_pay_for_certification():
     sym = analyze(grid2d_laplacian(6))
     plan_for(sym.stree)
-    assert exec_cache_stats()["cert_entries"] == 0
-
-
-def test_distinct_grains_get_distinct_certificates():
-    sym = analyze(grid2d_laplacian(6))
-    c0 = certificate_for(sym.stree, grain=0)
-    c1 = certificate_for(sym.stree, grain=4096)
-    assert exec_cache_stats()["cert_entries"] == 2
-    assert c0.digest != c1.digest
+    program_for(sym.stree)
+    assert exec_cache_stats()["fused_cert_entries"] == 0
 
 
 def test_program_and_panels_cached_and_evicted():
-    from repro.exec import fused_panels_for, program_for
+    from repro.exec import fused_panels_for
 
     sym = analyze(grid2d_laplacian(6))
     factor = cholesky_supernodal(sym)
@@ -103,8 +97,6 @@ def test_program_and_panels_cached_and_evicted():
 
 
 def test_fused_certificate_memoized_and_evicted():
-    from repro.exec import fused_certificate_for, program_for
-
     sym = analyze(grid2d_laplacian(6))
     program_for(sym.stree, certify=True)
     program_for(sym.stree, certify=True)

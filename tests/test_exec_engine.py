@@ -1,9 +1,10 @@
-"""Cross-validation battery and fault/edge tests for the real exec engine.
+"""Cross-validation battery and fault/edge tests for the real execution layer.
 
-Every matrix in the shared fixtures must solve identically (bitwise)
-across repeated runs and across ``workers in {1, 2, 4}``, must agree with
-the serial supernodal solvers and the SPMD-simulated solvers to 1e-10,
-and the engine must fail cleanly — never hang — on bad inputs.
+Every matrix in the shared fixtures must solve on the fused level program
+exactly as the serial supernodal solvers do (bitwise) and agree with the
+SPMD-simulated solvers to 1e-10; the solver's backend selection and
+right-hand-side checks must refuse what they cannot run; and the layer
+must fail cleanly — never return a wrong answer — on bad inputs.
 """
 
 import numpy as np
@@ -11,15 +12,13 @@ import pytest
 
 from repro.core.solver import ParallelSparseSolver
 from repro.exec import (
-    backward_exec,
+    backward_fused,
     clear_exec_caches,
-    forward_exec,
-    plan_for,
+    forward_fused,
     prepare_factor,
-    solve_exec,
+    solve_fused,
 )
-from repro.exec import engine as engine_mod
-from repro.exec.engine import _run_task_graph, resolve_workers
+from repro.exec import fused as fused_mod
 from repro.numeric.supernodal import SupernodalFactor, cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_supernodal,
@@ -50,35 +49,22 @@ class TestCrossValidation:
     def test_matches_serial_supernodal(self, factored, rng):
         a, sym, factor = factored
         b = rng.normal(size=(a.n, 7))
-        x_exec = solve_exec(factor, b, workers=2)
-        assert np.allclose(x_exec, solve_supernodal(factor, b), atol=1e-10)
+        assert np.array_equal(solve_fused(factor, b), solve_supernodal(factor, b))
 
     def test_forward_backward_match_serial(self, factored, rng):
         a, sym, factor = factored
         b = rng.normal(size=(a.n, 3))
-        assert np.allclose(
-            forward_exec(factor, b, workers=2), forward_supernodal(factor, b), atol=1e-10
+        assert np.array_equal(forward_fused(factor, b), forward_supernodal(factor, b))
+        assert np.array_equal(
+            backward_fused(factor, b), backward_supernodal(factor, b)
         )
-        assert np.allclose(
-            backward_exec(factor, b, workers=2), backward_supernodal(factor, b),
-            atol=1e-10,
-        )
-
-    def test_bitwise_reproducible_across_workers_and_runs(self, factored, rng):
-        a, sym, factor = factored
-        b = rng.normal(size=(a.n, 5))
-        runs = [solve_exec(factor, b, workers=w) for w in (1, 2, 4, 1, 2, 4)]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0], other), (
-                "threaded backend is not bitwise reproducible"
-            )
 
     def test_vector_rhs_round_trip(self, factored, rng):
         a, sym, factor = factored
         v = rng.normal(size=a.n)
-        x = solve_exec(factor, v, workers=2)
+        x = solve_fused(factor, v)
         assert x.shape == (a.n,)
-        assert np.allclose(x, solve_supernodal(factor, v), atol=1e-10)
+        assert np.array_equal(x, solve_supernodal(factor, v))
 
     def test_matches_spmd_simulated_numerics(self, factored, rng):
         a, sym, factor = factored
@@ -90,10 +76,10 @@ class TestCrossValidation:
         solver.assign = subtree_to_subcube(sym.stree, 4)
         b = rng.normal(size=(a.n, 4))
         x_sim, rep_sim = solver.solve(b, backend="sim")
-        x_thr, rep_thr = solver.solve(b, backend="threads", workers=2)
-        assert np.allclose(x_thr, x_sim, atol=1e-10)
-        assert rep_sim.backend == "sim" and rep_thr.backend == "threads"
-        assert rep_thr.forward.sim is None and rep_sim.forward.sim is not None
+        x_fused, rep_fused = solver.solve(b, backend="fused")
+        assert np.allclose(x_fused, x_sim, atol=1e-10)
+        assert rep_sim.backend == "sim" and rep_fused.backend == "fused"
+        assert rep_fused.forward.sim is None and rep_sim.forward.sim is not None
 
 
 class TestSolverBackends:
@@ -105,20 +91,42 @@ class TestSolverBackends:
         assert rep.fbsolve_seconds > 0
         assert rep.residual < 1e-12
 
-    def test_threads_backend_with_refinement(self, prepared_grid12, rng):
+    def test_fused_backend_with_refinement(self, prepared_grid12, rng):
         b = rng.normal(size=prepared_grid12.a.n)
-        x, rep = prepared_grid12.solve(b, backend="threads", workers=2, refine=1)
+        x, rep = prepared_grid12.solve(b, backend="fused", refine=1)
         assert rep.residual < 1e-13
 
     def test_unknown_backend_rejected(self, prepared_grid12, rng):
-        with pytest.raises(ValueError, match="backend"):
-            prepared_grid12.solve(rng.normal(size=prepared_grid12.a.n), backend="mpi")
+        for backend in ("mpi", "threads"):
+            with pytest.raises(ValueError, match="backend"):
+                prepared_grid12.solve(
+                    rng.normal(size=prepared_grid12.a.n), backend=backend
+                )
 
     def test_workers_require_threads_backend(self, prepared_grid12, rng):
-        with pytest.raises(ValueError, match="workers"):
-            prepared_grid12.solve(
-                rng.normal(size=prepared_grid12.a.n), backend="serial", workers=2
-            )
+        # No backend of solve() or serving() takes a workers argument.
+        b = rng.normal(size=prepared_grid12.a.n)
+        for backend in ("sim", "serial", "fused"):
+            with pytest.raises(TypeError, match="workers"):
+                prepared_grid12.solve(b, backend=backend, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            prepared_grid12.serving(workers=2)
+
+    @pytest.mark.parametrize("backend", ["sim", "serial", "fused"])
+    def test_bad_rhs_rejected_with_typed_errors(self, prepared_grid12, backend):
+        n = prepared_grid12.a.n
+        for bad in (np.full(n, np.nan), np.r_[np.zeros(n - 1), -np.inf]):
+            with pytest.raises(ValueError, match="non-finite"):
+                prepared_grid12.solve(bad, backend=backend)
+        for bad in (np.ones((n, 2)) * (1 + 1j), np.array([None] * n)):
+            with pytest.raises(TypeError, match="real"):
+                prepared_grid12.solve(bad, backend=backend)
+
+    def test_integer_rhs_still_accepted(self, prepared_grid12):
+        b = np.arange(prepared_grid12.a.n)
+        x, rep = prepared_grid12.solve(b, backend="fused")
+        x_ref, _ = prepared_grid12.solve(b.astype(np.float64), backend="fused")
+        assert np.array_equal(x, x_ref) and rep.residual < 1e-12
 
 
 class TestEdgeCases:
@@ -126,12 +134,12 @@ class TestEdgeCases:
         a = from_triplets(1, np.array([0]), np.array([0]), np.array([4.0]))
         sym = analyze(a)
         factor = cholesky_supernodal(sym)
-        x = solve_exec(factor, np.array([8.0]), workers=2)
+        x = solve_fused(factor, np.array([8.0]))
         assert np.allclose(x, [2.0])
 
     def test_empty_supernode_is_tolerated(self):
-        # A hand-built factor containing a zero-width supernode: the engine
-        # must skip it without touching the solution.
+        # A hand-built factor containing a zero-width supernode: the fused
+        # program must skip it without touching the solution.
         stree = SupernodalTree(
             supernodes=[
                 Supernode(index=0, col_lo=0, col_hi=1, rows=np.array([0])),
@@ -144,22 +152,20 @@ class TestEdgeCases:
             stree=stree,
             blocks=[np.array([[2.0]]), np.zeros((0, 0)), np.array([[4.0]])],
         )
-        x = solve_exec(factor, np.array([2.0, 8.0]), workers=2)
+        x = solve_fused(factor, np.array([2.0, 8.0]))
         assert np.allclose(x, [0.5, 0.5])
 
     def test_multi_rhs_wide_block(self, sym_grid8, rng):
         factor = cholesky_supernodal(sym_grid8)
         b = rng.normal(size=(sym_grid8.n, 16))
-        assert np.allclose(
-            solve_exec(factor, b, workers=4), solve_supernodal(factor, b), atol=1e-10
-        )
+        assert np.array_equal(solve_fused(factor, b), solve_supernodal(factor, b))
 
     def test_rhs_shape_mismatch_rejected(self, sym_grid8, rng):
         factor = cholesky_supernodal(sym_grid8)
         with pytest.raises(ValueError, match="rows"):
-            solve_exec(factor, rng.normal(size=3), workers=1)
+            solve_fused(factor, rng.normal(size=3))
         with pytest.raises(ValueError, match="vector"):
-            solve_exec(factor, rng.normal(size=(sym_grid8.n, 2, 2)), workers=1)
+            solve_fused(factor, rng.normal(size=(sym_grid8.n, 2, 2)))
 
 
 class TestFaults:
@@ -169,7 +175,7 @@ class TestFaults:
         blocks[0][0, 0] = 0.0
         broken = SupernodalFactor(stree=base.stree, blocks=blocks)
         with pytest.raises(ValueError, match="singular"):
-            solve_exec(broken, rng.normal(size=sym_grid8.n), workers=2)
+            solve_fused(broken, rng.normal(size=sym_grid8.n))
 
     def test_nonfinite_diagonal_raises_value_error(self, sym_grid8, rng):
         base = cholesky_supernodal(sym_grid8)
@@ -182,48 +188,32 @@ class TestFaults:
     @pytest.mark.parametrize("workers", [0, -1, -7])
     def test_nonpositive_workers_rejected(self, sym_grid8, rng, workers):
         factor = cholesky_supernodal(sym_grid8)
-        with pytest.raises(ValueError, match="workers"):
-            solve_exec(factor, rng.normal(size=sym_grid8.n), workers=workers)
+        with pytest.raises(TypeError, match="workers"):
+            solve_fused(factor, rng.normal(size=sym_grid8.n), workers=workers)
 
     @pytest.mark.parametrize("workers", [1.5, "2", True])
-    def test_non_integral_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            resolve_workers(workers)
-
-    def test_default_workers_positive(self):
-        assert resolve_workers(None) >= 1
-        assert resolve_workers(np.int64(3)) == 3
-
-    def test_raising_task_does_not_deadlock_pool(self):
-        # A linear chain of 6 tasks; task 2 explodes.  The pool must drain
-        # and re-raise instead of waiting on never-submitted successors.
-        ran: list[int] = []
-
-        def body(i: int) -> None:
-            if i == 2:
-                raise RuntimeError("boom in task 2")
-            ran.append(i)
-
-        ndeps = [0, 1, 1, 1, 1, 1]
-        dependents = [[1], [2], [3], [4], [5], []]
-        with pytest.raises(RuntimeError, match="boom in task 2"):
-            _run_task_graph(6, ndeps, dependents, body, workers=2)
-        assert 3 not in ran and 4 not in ran and 5 not in ran
+    def test_non_integral_workers_rejected(self, prepared_grid12, rng, workers):
+        with pytest.raises(TypeError, match="workers"):
+            prepared_grid12.solve(
+                rng.normal(size=prepared_grid12.a.n), backend="fused", workers=workers
+            )
 
     def test_raising_kernel_inside_engine_propagates(self, sym_grid8, rng, monkeypatch):
+        # sym_grid8 has panels wider than one column, so the level loop
+        # reaches the dtrsm call; the failure must surface, and the
+        # leased workspace must go back to the arena for the next solve.
         factor = cholesky_supernodal(sym_grid8)
+        b = rng.normal(size=(sym_grid8.n, 2))
 
         def boom(*args, **kwargs):
             raise RuntimeError("kernel failure injected")
 
-        monkeypatch.setattr(engine_mod, "solve_lower", boom)
-        with pytest.raises(RuntimeError, match="kernel failure injected"):
-            forward_exec(factor, rng.normal(size=(sym_grid8.n, 2)), workers=2)
-
-    def test_dependency_cycle_detected(self):
-        # Two tasks that gate each other: no ready task exists.
-        with pytest.raises(ValueError, match="cycle"):
-            _run_task_graph(2, [1, 1], [[1], [0]], lambda i: None, workers=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(fused_mod, "dtrsm", boom)
+            with pytest.raises(RuntimeError, match="kernel failure injected"):
+                forward_fused(factor, b)
+        assert prepare_factor(factor).arena.stats()["free"] == 1
+        assert np.array_equal(forward_fused(factor, b), forward_supernodal(factor, b))
 
     def test_plan_rejects_rows_not_contained_in_parent(self):
         # Child below-row 2 does not appear in its parent's rows [1].
@@ -251,6 +241,7 @@ class TestPreparedFactorCache:
 
         factor = cholesky_supernodal(sym_grid8)
         for _ in range(3):
-            solve_exec(factor, rng.normal(size=sym_grid8.n), workers=2)
+            solve_fused(factor, rng.normal(size=sym_grid8.n))
         stats = exec_cache_stats()
-        assert stats["plan_misses"] == 1 and stats["plan_hits"] >= 2
+        assert stats["plan_misses"] == 1 and stats["program_misses"] == 1
+        assert stats["program_hits"] >= 2

@@ -1,16 +1,15 @@
 """The fused level-program backend: bitwise agreement, zero-allocation
 steady state, program/panel caching, and the program certifier.
 
-The central claims under test, mirroring the engine battery in
-``test_exec_engine.py``:
+The central claims under test, alongside the cross-validation battery
+in ``test_exec_engine.py``:
 
 * fused solves are *bitwise* identical to the serial supernodal solvers
-  and the threaded engine, for every problem class, NRHS width, and
-  aggregation grain of the plan the program was compiled from;
+  for every problem class and NRHS width;
 * a second solve against a prepared factor runs entirely out of the
   workspace arena — no per-node array allocations;
-* the compiled program earns a determinism certificate with the *same*
-  digest as the threaded plan's, and the certifier rejects mutated
+* the compiled program earns a determinism certificate whose digest is
+  a pure function of the structure, and the certifier rejects mutated
   programs.
 """
 
@@ -20,7 +19,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.solver import ParallelSparseSolver
 from repro.exec import (
     backward_fused,
     clear_exec_caches,
@@ -31,12 +29,10 @@ from repro.exec import (
     plan_for,
     prepare_factor,
     program_for,
-    solve_exec,
     solve_fused,
 )
 from repro.exec.arena import build_fused_workspace
 from repro.exec.fused import _backward_levels, _forward_levels
-from repro.exec.plan import build_plan
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_supernodal,
@@ -64,30 +60,14 @@ class TestBitwiseAgreement:
     """The one claim everything else rests on: one schedule, one answer."""
 
     @pytest.mark.parametrize("nrhs", [1, 4, 16])
-    def test_bitwise_vs_serial_and_threads(self, factored, rng, nrhs):
+    def test_bitwise_vs_serial(self, factored, rng, nrhs):
         a, sym, factor = factored
         b = rng.normal(size=(a.n, nrhs))
         x_serial = solve_supernodal(factor, b)
-        x_threads = solve_exec(factor, b, workers=2)
         x_fused = solve_fused(factor, b)
         assert np.array_equal(x_fused, x_serial), (
             "fused backend is not bitwise identical to the serial solver"
         )
-        assert np.array_equal(x_fused, x_threads), (
-            "fused backend is not bitwise identical to the threaded engine"
-        )
-
-    @pytest.mark.parametrize("grain", [0, 256, 4096])
-    def test_bitwise_across_plan_grains(self, factored, rng, grain):
-        # The level program is grain-invariant by construction; a program
-        # compiled from ANY grain of the same structure must reproduce
-        # the serial answer bit for bit.
-        a, sym, factor = factored
-        b = rng.normal(size=(a.n, 4))
-        plan = build_plan(sym.stree, grain=grain)
-        program = compile_level_program(plan)
-        x = solve_fused(factor, b, program=program)
-        assert np.array_equal(x, solve_supernodal(factor, b))
 
     def test_forward_backward_sweeps_match_serial(self, factored, rng):
         a, sym, factor = factored
@@ -160,24 +140,6 @@ class TestZeroAllocationSteadyState:
 
 
 class TestProgramCompilation:
-    def test_program_grain_invariant(self, sym_grid8):
-        # Same structure, different task aggregation: identical programs
-        # (the compiler reads only the steps and the node levels).
-        programs = [
-            compile_level_program(build_plan(sym_grid8.stree, grain=g))
-            for g in (0, 256, 4096)
-        ]
-        ref = programs[0]
-        for prog in programs[1:]:
-            assert prog.nsuper == ref.nsuper
-            assert np.array_equal(prog.node_level, ref.node_level)
-            assert len(prog.levels) == len(ref.levels)
-            for la, lb in zip(prog.levels, ref.levels):
-                assert np.array_equal(la.top_src, lb.top_src)
-                assert np.array_equal(la.scatter_dst, lb.scatter_dst)
-                assert np.array_equal(la.scatter_src, lb.scatter_src)
-                assert np.array_equal(la.gather_rows, lb.gather_rows)
-
     def test_program_and_panels_memoized(self, sym_grid8):
         factor = cholesky_supernodal(sym_grid8)
         assert program_for(sym_grid8.stree) is program_for(sym_grid8.stree)
@@ -190,13 +152,15 @@ class TestProgramCompilation:
         assert rep.forward.sim is None and rep.backward.sim is None
         assert rep.fbsolve_seconds > 0
         assert rep.residual < 1e-12
-        x_thr, rep_thr = prepared_grid12.solve(b, backend="threads", workers=2)
-        assert np.array_equal(x, x_thr)
-        # One structure, one determinism certificate — both backends.
-        assert rep.schedule_certificate == rep_thr.schedule_certificate
+        x_serial, rep_serial = prepared_grid12.solve(b, backend="serial")
+        assert np.array_equal(x, x_serial)
+        # verify=True: the fused report carries its program's certificate.
+        stree = prepared_grid12.symbolic.stree
+        assert rep.schedule_certificate == fused_certificate_for(stree).digest
+        assert rep_serial.schedule_certificate is None
 
     def test_workers_rejected_on_fused_backend(self, prepared_grid12, rng):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(TypeError, match="workers"):
             prepared_grid12.solve(
                 rng.normal(size=prepared_grid12.a.n), backend="fused", workers=2
             )
@@ -204,13 +168,24 @@ class TestProgramCompilation:
 
 class TestFusedCertifier:
     def test_certificate_clean_and_digest_matches_plan(self, factored):
-        from repro.exec import certificate_for
+        from repro.verify.schedule import plan_digest
 
         a, sym, factor = factored
         cert = fused_certificate_for(sym.stree)
         assert cert.ok, [str(f) for f in cert.report.errors()]
-        assert cert.digest == certificate_for(sym.stree).digest
-        assert cert.ntasks == len(program_for(sym.stree).levels)
+        assert cert.digest == plan_digest(plan_for(sym.stree))
+        assert cert.nlevels == len(program_for(sym.stree).levels)
+
+    def test_digest_stable_across_independent_builds(self, factored):
+        # Two analyses of the same matrix give two distinct structure
+        # objects (two cache entries) but one schedule: equal digests.
+        a, sym, factor = factored
+        other = analyze(a)
+        assert other.stree is not sym.stree
+        c1 = fused_certificate_for(sym.stree)
+        c2 = fused_certificate_for(other.stree)
+        assert c1 is not c2 and c1.ok and c2.ok
+        assert c1.digest == c2.digest
 
     def test_certifier_rejects_swapped_scatter(self, sym_grid8):
         import dataclasses
@@ -251,42 +226,6 @@ class TestFusedCertifier:
         p1 = program_for(sym_grid8.stree, certify=True)
         p2 = program_for(sym_grid8.stree, certify=True)
         assert p1 is p2
-
-
-class TestPoolReuse:
-    def test_solve_exec_builds_one_pool_for_both_sweeps(self, sym_grid8, rng, monkeypatch):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.exec import engine as engine_mod
-
-        factor = cholesky_supernodal(sym_grid8)
-        constructed = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                constructed.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", CountingPool)
-        b = rng.normal(size=(sym_grid8.n, 3))
-        x = solve_exec(factor, b, workers=2)
-        assert len(constructed) == 1, (
-            "solve_exec must reuse one thread pool across the forward and "
-            f"backward sweeps, constructed {len(constructed)}"
-        )
-        assert np.array_equal(x, solve_supernodal(factor, b))
-
-    def test_single_worker_builds_no_pool(self, sym_grid8, rng, monkeypatch):
-        from repro.exec import engine as engine_mod
-
-        factor = cholesky_supernodal(sym_grid8)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("workers=1 must not construct a thread pool")
-
-        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", boom)
-        x = solve_exec(factor, rng.normal(size=sym_grid8.n), workers=1)
-        assert np.all(np.isfinite(x))
 
 
 def test_fused_tolerates_gc_of_program_midlife(sym_grid8, rng):

@@ -1,7 +1,7 @@
 """Property-based cross-validation of every triangular-solve implementation.
 
 For random SPD-patterned systems, the serial supernodal solvers
-(``numeric/trisolve``), the simplicial reference, and the threaded exec
+(``numeric/trisolve``), the simplicial reference, and the fused exec
 backend must all agree with ``scipy.sparse.linalg.spsolve_triangular`` to
 1e-10, for vector and ``(n, nrhs)`` right-hand sides.  Runs derandomized
 (seeded) so CI is stable.
@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
-from repro.exec import backward_exec, forward_exec, solve_exec
+from repro.exec import backward_fused, forward_fused, solve_fused
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_simplicial,
@@ -80,7 +80,7 @@ def test_forward_implementations_agree_with_scipy(system):
     for name, y in [
         ("supernodal", forward_supernodal(factor, b)),
         ("simplicial", forward_simplicial(lcsc, b)),
-        ("exec-threads", forward_exec(factor, b, workers=2)),
+        ("exec-fused", forward_fused(factor, b)),
     ]:
         assert np.allclose(y, y_scipy, atol=ATOL), f"{name} deviates from scipy"
 
@@ -98,17 +98,17 @@ def test_backward_implementations_agree_with_scipy(system):
     for name, x in [
         ("supernodal", backward_supernodal(factor, b)),
         ("simplicial", backward_simplicial(lcsc, b)),
-        ("exec-threads", backward_exec(factor, b, workers=2)),
+        ("exec-fused", backward_fused(factor, b)),
     ]:
         assert np.allclose(x, x_scipy, atol=ATOL), f"{name} deviates from scipy"
 
 
 @SEEDED
-@given(system=factored_system(), workers=st.sampled_from([1, 2, 4]))
-def test_full_solve_recovers_known_solution(system, workers):
+@given(system=factored_system())
+def test_full_solve_recovers_known_solution(system):
     sym, factor, b = system
     # Solve against the permuted matrix directly: A_perm = L L^T.
-    x = solve_exec(factor, b, workers=workers)
+    x = solve_fused(factor, b)
     a_dense = sym.a_perm.to_dense()
     x_ref = np.linalg.solve(a_dense, b if b.ndim == 2 else b)
     assert np.allclose(x, x_ref, atol=1e-8)

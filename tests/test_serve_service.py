@@ -48,16 +48,12 @@ def test_bitwise_transparency_across_matrices_and_backends(
     its own right-hand side on the same backend — not merely close:
     identical to the last bit.
     """
-    from repro.exec import solve_exec, solve_fused
+    from repro.exec import solve_fused
     from repro.numeric.trisolve import solve_supernodal
 
     a = request.getfixturevalue(fixture)
     factor = cholesky_supernodal(analyze(a))
-    standalone = {
-        "serial": solve_supernodal,
-        "threads": solve_exec,
-        "fused": solve_fused,
-    }[backend]
+    standalone = {"serial": solve_supernodal, "fused": solve_fused}[backend]
 
     rhs = [rng.normal(size=a.n) for _ in range(16)]
     with make_service(factor, backend=backend, max_batch=6) as service:
@@ -243,10 +239,43 @@ def test_manual_pump_apis_rejected_on_threaded_service(factor_grid8):
 
 
 def test_invalid_backend_and_workers_combinations(factor_grid8):
-    with pytest.raises(ValueError, match="backend"):
-        SolveService(backend="quantum")
-    with pytest.raises(ValueError, match="workers"):
-        SolveService(backend="fused", workers=2)
+    for backend in ("quantum", "threads"):
+        with pytest.raises(ValueError, match="backend"):
+            SolveService(backend=backend, clock=FakeClock())
+    # No serve backend takes a worker count.
+    for backend in SERVE_BACKENDS:
+        with pytest.raises(TypeError, match="workers"):
+            SolveService(backend=backend, clock=FakeClock(), workers=2)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (lambda n: np.full(n, np.nan), ValueError),
+        (lambda n: np.r_[np.ones(n - 1), np.inf], ValueError),
+        (lambda n: np.ones(n) + 1j, TypeError),
+        (lambda n: np.array(["x"] * n), TypeError),
+    ],
+    ids=["nan", "inf", "complex", "str"],
+)
+def test_submit_refuses_bad_rhs_before_queueing(factor_grid8, rng, bad, error):
+    """A bad request is refused at submit(); its batch-mates are untouched."""
+    from repro.exec import solve_fused
+
+    n = factor_grid8.n
+    clean = [rng.normal(size=n) for _ in range(3)]
+    with make_service(factor_grid8, max_batch=4) as service:
+        futures = [service.submit(clean[0], key="m")]
+        with pytest.raises(error):
+            service.submit(bad(n), key="m")
+        assert service.pending_columns == 1
+        futures += [service.submit(b, key="m") for b in clean[1:]]
+        service.drain()
+        report = service.report()
+        assert report.submitted == 3 and report.completed == 3
+        assert report.nbatches == 1 and report.total_columns == 3
+        for b, fut in zip(clean, futures):
+            assert np.array_equal(fut.result(timeout=0), solve_fused(factor_grid8, b))
 
 
 # ----------------------------------------------------------------- report

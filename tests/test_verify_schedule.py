@@ -1,4 +1,4 @@
-"""The static schedule certifier: effects, happens-before, certificates."""
+"""The static schedule certifier: effects, level order, certificates."""
 
 from __future__ import annotations
 
@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec import (
-    certificate_for,
     clear_exec_caches,
-    exec_cache_stats,
     fused_certificate_for,
     plan_for,
+    program_for,
 )
-from repro.exec.plan import build_plan
+from repro.exec.plan import build_plan, compile_level_program
 from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian
 from repro.symbolic.analyze import analyze
 from repro.verify import VerificationError, gate, schedule
@@ -35,7 +34,12 @@ from repro.verify.effects import (
     forward_effects,
 )
 from repro.verify.gate import run_schedule_certification
-from repro.verify.schedule import certify_plan, plan_digest
+from repro.verify.schedule import certify_level_program, plan_digest
+
+
+def certify(plan, stree):
+    """Compile *plan* and certify the program against it."""
+    return certify_level_program(compile_level_program(plan), plan, stree)
 
 
 def reference_conflicts(effects):
@@ -67,8 +71,8 @@ _SPACES = [X_SPACE, contrib_space(0), contrib_space(1), acc_space(2)]
 
 effect_lists = st.lists(
     st.builds(
-        lambda task, node, mode, space, rows: Effect(
-            task, node, FORWARD, mode, space, np.array(rows, dtype=np.int64)
+        lambda level, node, mode, space, rows: Effect(
+            level, node, FORWARD, mode, space, np.array(rows, dtype=np.int64)
         ),
         st.integers(0, 3),
         st.integers(0, 4),
@@ -87,7 +91,7 @@ def sym():
 
 @pytest.fixture(scope="module")
 def plan(sym):
-    return build_plan(sym.stree, grain=64)
+    return build_plan(sym.stree)
 
 
 class TestEffects:
@@ -146,33 +150,38 @@ class TestEffects:
 
 
 class TestCertifyClean:
-    @pytest.mark.parametrize("grain", [0, 256, 4096])
-    def test_grid_plans_certify_clean(self, sym, grain):
-        plan = build_plan(sym.stree, grain=grain)
-        cert = certify_plan(plan, sym.stree)
+    def test_grid_program_certifies_clean(self, sym, plan):
+        cert = certify(plan, sym.stree)
         assert cert.ok, cert.report.render()
         assert cert.nsuper == sym.stree.nsuper
-        assert cert.ntasks == plan.ntasks
+        assert cert.nlevels == int(plan.node_level.max()) + 1
 
-    def test_nrhs_does_not_change_verdict_or_digest(self, sym, plan):
-        c1 = certify_plan(plan, sym.stree, nrhs=1)
-        c4 = certify_plan(plan, sym.stree, nrhs=4)
-        assert c1.ok and c4.ok
-        assert c1.digest == c4.digest
+    def test_nrhs_does_not_change_verdict_or_digest(self, sym):
+        # Every access spans all right-hand-side columns: solves of any
+        # width carry the one certificate of the structure.
+        from repro.core.solver import ParallelSparseSolver
+
+        a = grid2d_laplacian(6)
+        solver = ParallelSparseSolver(a, p=1).prepare()
+        digests = {
+            solver.solve(np.ones((a.n, w)), backend="fused")[1].schedule_certificate
+            for w in (1, 4)
+        }
+        assert digests == {fused_certificate_for(solver.symbolic.stree).digest}
 
     def test_digest_stable_across_rebuilds(self, sym):
-        p1 = build_plan(sym.stree, grain=64)
-        p2 = build_plan(sym.stree, grain=64)
+        p1 = build_plan(sym.stree)
+        p2 = build_plan(sym.stree)
         assert plan_digest(p1) == plan_digest(p2)
 
-    def test_digest_distinguishes_schedules(self, sym):
-        assert plan_digest(build_plan(sym.stree, grain=0)) != plan_digest(
-            build_plan(sym.stree, grain=4096)
-        )
-
-    def test_bad_nrhs_rejected(self, sym, plan):
-        with pytest.raises(ValueError):
-            certify_plan(plan, sym.stree, nrhs=0)
+    def test_digest_distinguishes_schedules(self, sym, plan):
+        other = build_plan(analyze(grid2d_laplacian(5)).stree)
+        assert plan_digest(plan) != plan_digest(other)
+        # The levels are part of the schedule: moving a node changes it.
+        node_level = plan.node_level.copy()
+        node_level[0] += 1
+        moved = dataclasses.replace(plan, node_level=node_level)
+        assert plan_digest(plan) != plan_digest(moved)
 
     def test_gate_battery_certifies_clean(self):
         report = run_schedule_certification()
@@ -182,22 +191,23 @@ class TestCertifyClean:
 class TestCertifyMutants:
     """Direct mutations beyond the seeded corpus (which has its own test)."""
 
-    def test_dropped_task_parent_stalls_forward(self, sym, plan):
-        task_parent = plan.task_parent.copy()
-        ti = next(i for i in range(plan.ntasks) if task_parent[i] != -1)
-        task_parent[ti] = -1
-        mutant = dataclasses.replace(plan, task_parent=task_parent)
-        report = certify_plan(mutant, sym.stree).report
-        assert "schedule-dep-count" in report.rules()
-
     def test_missing_node_is_flagged(self, sym, plan):
-        tasks = list(plan.tasks)
-        ti = next(i for i, t in enumerate(tasks) if len(t.nodes) >= 2)
-        t = tasks[ti]
-        tasks[ti] = dataclasses.replace(t, nodes=t.nodes[1:])
-        mutant = dataclasses.replace(plan, tasks=tasks)
-        report = certify_plan(mutant, sym.stree).report
-        assert "schedule-task-partition" in report.rules()
+        program = compile_level_program(plan)
+        li, gi = next(
+            (li, gi)
+            for li, lvl in enumerate(program.levels)
+            for gi, g in enumerate(lvl.groups)
+            if g.nodes.size
+        )
+        lvl = program.levels[li]
+        g = lvl.groups[gi]
+        groups = list(lvl.groups)
+        groups[gi] = dataclasses.replace(g, nodes=g.nodes[1:])
+        levels = list(program.levels)
+        levels[li] = dataclasses.replace(lvl, groups=tuple(groups))
+        mutant = dataclasses.replace(program, levels=tuple(levels))
+        report = certify_level_program(mutant, plan, sym.stree).report
+        assert "schedule-program-partition" in report.rules()
 
     def test_wrong_scatter_target_is_flagged(self, sym, plan):
         steps = list(plan.steps)
@@ -213,24 +223,33 @@ class TestCertifyMutants:
         scatters[ci] = idx
         steps[si] = dataclasses.replace(st, child_scatter=tuple(scatters))
         mutant = dataclasses.replace(plan, steps=steps)
-        report = certify_plan(mutant, sym.stree).report
+        report = certify(mutant, sym.stree).report
         assert report.rules() & {
             "schedule-scatter-mismatch",
             "schedule-scatter-overlap",
             "schedule-scatter-bounds",
         }, report.render()
 
-    def test_findings_name_the_conflicting_tasks(self, sym, plan):
-        task_children = [list(c) for c in plan.task_children]
-        tp = next(i for i in range(plan.ntasks) if task_children[i])
-        dropped = task_children[tp].pop(0)
-        mutant = dataclasses.replace(plan, task_children=task_children)
-        report = certify_plan(mutant, sym.stree).report
-        races = report.by_rule("schedule-race")
-        assert races
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_stale_read_names_the_levels(self, sym, plan, phase):
+        # Lift a parent's first child above it: forward, the parent reads
+        # the child's contribution a level too early; backward, the child
+        # reads its ancestors' rows before the parent has solved them.
+        parent = next(st for st in plan.steps if st.children)
+        child = parent.children[0]
+        node_level = plan.node_level.copy()
+        node_level[child] = node_level[parent.s] + 1
+        mutant = dataclasses.replace(plan, node_level=node_level)
+        report = certify(mutant, sym.stree).report
+        stale = [
+            f for f in report.by_rule("schedule-stale-read")
+            if f.message.startswith(f"[{phase}]")
+        ]
+        assert stale, report.render()
+        lo, hi = int(node_level[parent.s]), int(node_level[child])
+        first, second = (lo, hi) if phase == "forward" else (hi, lo)
         assert any(
-            f"tasks {min(dropped, tp)} and {max(dropped, tp)}" in f.message
-            for f in races
+            f"level {first} runs before level {second}" in f.message for f in stale
         ), report.render()
 
 
@@ -239,14 +258,14 @@ def _certified(run, monkeypatch, finder):
     digests = []
     with monkeypatch.context() as m:
         m.setattr(schedule, "effect_conflicts", finder)
-        for name in ("certify_plan", "certify_level_program"):
+        certify_level_program = schedule.certify_level_program
 
-            def record(*args, _certify=getattr(schedule, name), **kwargs):
-                cert = _certify(*args, **kwargs)
-                digests.append(cert.digest)
-                return cert
+        def record(*args, **kwargs):
+            cert = certify_level_program(*args, **kwargs)
+            digests.append(cert.digest)
+            return cert
 
-            m.setattr(schedule, name, record)
+        m.setattr(schedule, "certify_level_program", record)
         report = run()
     return [(f.rule, f.message, f.location) for f in report], digests
 
@@ -295,25 +314,16 @@ class TestCertificationScale:
 
 
 class TestCachedCertification:
-    def test_plan_for_certify_true_is_memoized(self, sym):
-        clear_exec_caches()
-        plan_for(sym.stree, certify=True)
-        misses = exec_cache_stats()["cert_misses"]
-        plan_for(sym.stree, certify=True)
-        stats = exec_cache_stats()
-        assert stats["cert_misses"] == misses
-        assert stats["cert_hits"] >= 1
-
     def test_certificate_for_matches_direct_certification(self, sym):
         clear_exec_caches()
-        cert = certificate_for(sym.stree)
-        direct = certify_plan(plan_for(sym.stree), sym.stree)
+        cert = fused_certificate_for(sym.stree)
+        direct = certify(plan_for(sym.stree), sym.stree)
         assert cert.digest == direct.digest
         assert cert.ok
 
 
 class TestSolveReportCertificate:
-    def test_certificate_identical_across_worker_counts(self):
+    def test_certificate_identical_across_solvers(self):
         from repro.core.solver import ParallelSparseSolver
 
         a = grid3d_laplacian(4)
@@ -321,22 +331,22 @@ class TestSolveReportCertificate:
         b = rng.normal(size=(a.n, 4))
         certs = set()
         xs = []
-        for workers in (1, 2, 8):
+        for _ in range(3):
             solver = ParallelSparseSolver(a, p=1).prepare()
-            x, rep = solver.solve(b, backend="threads", workers=workers)
+            x, rep = solver.solve(b, backend="fused")
             assert rep.schedule_certificate is not None
             certs.add(rep.schedule_certificate)
             xs.append(x)
         assert len(certs) == 1
         assert np.array_equal(xs[0], xs[1]) and np.array_equal(xs[0], xs[2])
 
-    def test_no_certificate_without_verify_or_off_threads(self):
+    def test_no_certificate_without_verify_or_off_fused(self):
         from repro.core.solver import ParallelSparseSolver
 
         a = grid2d_laplacian(5)
         b = np.ones(a.n)
         _, rep = ParallelSparseSolver(a, p=1, verify=False).prepare().solve(
-            b, backend="threads"
+            b, backend="fused"
         )
         assert rep.schedule_certificate is None
         _, rep = ParallelSparseSolver(a, p=1).prepare().solve(b, backend="serial")
@@ -346,9 +356,9 @@ class TestSolveReportCertificate:
         # Corrupt the cached certificate's report: every later certified
         # call for this structure must fail loudly, not solve anyway.
         clear_exec_caches()
-        cert = certificate_for(sym.stree)
-        cert.report.add("schedule-race", "seeded for the test", location="test")
+        cert = fused_certificate_for(sym.stree)
+        cert.report.add("schedule-stale-read", "seeded for the test", location="test")
         with pytest.raises(VerificationError):
-            plan_for(sym.stree, certify=True)
+            program_for(sym.stree, certify=True)
         clear_exec_caches()
-        assert certificate_for(sym.stree).ok
+        assert fused_certificate_for(sym.stree).ok

@@ -1,11 +1,11 @@
 """Property test: the certifier flags every plan mutant, never the pristine.
 
-Hypothesis draws a mutation kind and its target (which dependency edge
-to drop, which reduction list to permute, which scatter index to shift,
-by how much) against a fixed small plan; every drawn mutant must produce
-at least one ERROR finding, while the untouched plan certifies clean on
-every example.  Mutations that also change the schedule's semantics
-(topology or reduction order) must change the determinism digest.
+Hypothesis draws a mutation kind and its target (which reduction list
+to permute, which scatter index to shift, by how much) against a fixed
+small plan; every drawn mutant, compiled into a level program, must
+produce at least one ERROR finding, while the untouched plan certifies
+clean on every example.  Both mutations change the schedule's semantics,
+so both must change the determinism digest.
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.exec.plan import build_plan
+from repro.exec.plan import build_plan, compile_level_program
 from repro.sparse.generators import grid2d_laplacian
 from repro.symbolic.analyze import analyze
-from repro.verify.schedule import certify_plan, plan_digest
+from repro.verify.schedule import certify_level_program, plan_digest
 
 SYM = analyze(grid2d_laplacian(6))
-PLAN = build_plan(SYM.stree, grain=64)
+PLAN = build_plan(SYM.stree)
 PRISTINE_DIGEST = plan_digest(PLAN)
 
-_PARENTS = [i for i in range(PLAN.ntasks) if PLAN.task_children[i]]
 _MULTI_CHILD = [i for i, s in enumerate(PLAN.steps) if len(s.children) >= 2]
 _SCATTERED = [
     (si, ci)
@@ -33,14 +32,6 @@ _SCATTERED = [
     for ci, idx in enumerate(s.child_scatter)
     if idx.size
 ]
-
-
-def _drop_dependency(draw):
-    tp = draw(st.sampled_from(_PARENTS))
-    children = [list(c) for c in PLAN.task_children]
-    victim = draw(st.sampled_from(children[tp]))
-    children[tp].remove(victim)
-    return dataclasses.replace(PLAN, task_children=children)
 
 
 def _permute_reduction(draw):
@@ -71,10 +62,13 @@ def _shift_scatter(draw):
 
 
 _MUTATORS = {
-    "drop-dependency": _drop_dependency,
     "permute-reduction": _permute_reduction,
     "shift-scatter": _shift_scatter,
 }
+
+
+def _certify(plan):
+    return certify_level_program(compile_level_program(plan), plan, SYM.stree)
 
 
 @st.composite
@@ -92,22 +86,19 @@ def mutants(draw):
 @given(mutant=mutants())
 def test_certifier_flags_every_mutant(mutant):
     kind, plan = mutant
-    pristine = certify_plan(PLAN, SYM.stree)
+    pristine = _certify(PLAN)
     assert pristine.ok, pristine.report.render()
     assert pristine.digest == PRISTINE_DIGEST
 
-    cert = certify_plan(plan, SYM.stree)
+    cert = _certify(plan)
     assert not cert.ok, f"{kind} mutant certified clean"
-    if kind in ("permute-reduction", "shift-scatter", "drop-dependency"):
-        # Anything that changes the hashed schedule must change the hash;
-        # a dropped *dependency list* leaves the hashed topology intact.
-        expect_changed = kind != "drop-dependency"
-        assert (cert.digest != PRISTINE_DIGEST) == expect_changed
+    # Anything that changes the hashed schedule must change the hash.
+    assert cert.digest != PRISTINE_DIGEST
 
 
 def test_fixture_has_all_mutation_targets():
     # The strategies above assume the base plan is rich enough to mutate.
-    assert _PARENTS and _MULTI_CHILD and _SCATTERED
+    assert _MULTI_CHILD and _SCATTERED
     assert any(PLAN.steps[si].child_scatter[ci].size >= 2 for si, ci in _SCATTERED)
 
 
